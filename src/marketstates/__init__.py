@@ -25,12 +25,8 @@ from .ifn import (
     SparsePrecision,
     TmfgGraph,
     build_tmfg,
-    dump_edges,
-    is_chordal,
     logdet_precision,
     logo_precision,
-    perfect_elimination_ordering,
-    quadratic_form,
 )
 from .ingest import (
     IngestOptions,
@@ -74,17 +70,13 @@ __all__ = [
     "StateSummary",
     "TmfgGraph",
     "build_tmfg",
-    "dump_edges",
     "estimate_cluster",
     "fit",
-    "is_chordal",
     "label_agreement",
     "likelihood_ratio",
     "load_price_panel",
     "logdet_precision",
     "logo_precision",
-    "perfect_elimination_ordering",
-    "quadratic_form",
     "score_states",
     "solve_path",
     "standardize_returns",

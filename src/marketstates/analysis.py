@@ -131,6 +131,8 @@ def label_agreement(labels_a, labels_b) -> float:
     b = np.asarray(labels_b, dtype=int)
     if a.shape != b.shape or a.ndim != 1:
         raise ValueError("label sequences must be 1-d and equally long")
+    if a.size == 0:
+        raise ValueError("label sequences are empty; agreement is undefined")
     k_a = int(a.max()) + 1
     k_b = int(b.max()) + 1
     confusion = np.zeros((k_a, k_b), dtype=int)

@@ -8,29 +8,43 @@ A run writes four files into the output directory:
                with diagnostics, even when the fit fails)
   ratio.csv    date,value likelihood-ratio series (when --ratio is given)
 
-Exit codes: 0 success, 1 configuration error, 2 data error, 3 fit failure,
-each with a one-line diagnostic on stderr.
+main validates the whole configuration, sweep cells included, creates the
+output directory and loads the panel once; run_fit and run_sweep work on
+the returns in memory. A sweep writes each cell's files into its own
+subdirectory plus sweep.json; if the input fails to load, no cell runs and
+the failure report.json goes into the output directory.
+
+Exit codes: 0 success, 1 configuration or output error, 2 data error,
+3 fit failure, each with a one-line diagnostic on stderr. _EXIT_CODES is
+the only place an exception becomes an exit code.
 """
 
 import argparse
+import itertools
 import json
 import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-import numpy as np
-
 from .analysis import label_agreement, likelihood_ratio, suggest_ratio_states
 from .errors import ConfigError, DataError, EstimationError, FitError
-from .ingest import load_price_panel, standardize_returns, to_log_returns
-from .segment import ClusteringConfig, fit
+from .ingest import ReturnsPanel, load_price_panel, standardize_returns, to_log_returns
+from .segment import ClusteringConfig, StatePath, fit
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_DATA = 2
 EXIT_FIT = 3
 
-_FORMATS = ("csv", "json")
+# (exception type, exit code, diagnostic kind); the first matching row wins.
+_EXIT_CODES = (
+    (ConfigError, EXIT_CONFIG, "config"),
+    (OSError, EXIT_CONFIG, "config"),
+    (DataError, EXIT_DATA, "data"),
+    (FitError, EXIT_FIT, "fit"),
+    (EstimationError, EXIT_FIT, "fit"),
+)
+_HANDLED = tuple(row[0] for row in _EXIT_CODES)
 
 
 @dataclass
@@ -41,16 +55,12 @@ class RunConfig:
     output_dir: str
     clustering: ClusteringConfig = field(default_factory=ClusteringConfig)
     ratio: str | None = None  # "auto" or "A,B"
-    formats: tuple = _FORMATS
 
     def validate(self) -> None:
         if not self.input_path:
             raise ConfigError("input path must not be empty")
         if not self.output_dir:
             raise ConfigError("output directory must not be empty")
-        unknown = set(self.formats) - set(_FORMATS)
-        if unknown or not self.formats:
-            raise ConfigError(f"output formats must be a subset of {_FORMATS}")
         self.clustering.validate()
         _parse_ratio(self.ratio, self.clustering.n_clusters)
 
@@ -75,18 +85,11 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _write_states_csv(path: Path, dates, labels) -> None:
+def _write_csv(path: Path, header: str, dates, cells) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("date,label\n")
-        for date, label in zip(dates, labels):
-            fh.write(f"{date},{int(label)}\n")
-
-
-def _write_ratio_csv(path: Path, series) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("date,value\n")
-        for date, value in zip(series.dates, series.values):
-            fh.write(f"{date},{float(value)!r}\n")
+        fh.write(f"{header}\n")
+        for date, cell in zip(dates, cells):
+            fh.write(f"{date},{cell}\n")
 
 
 def _models_payload(models, assets) -> dict:
@@ -129,62 +132,38 @@ def _config_payload(config: RunConfig) -> dict:
     }
 
 
-def _diagnose(kind: str, exc: Exception) -> None:
+def _fail(exc: Exception, config: RunConfig | None, report_dir: Path | None) -> int:
+    """Return exc's exit code from _EXIT_CODES, after its one-line diagnostic.
+
+    A failure report.json goes into report_dir when one is given, on a best
+    effort basis: a directory that cannot take it leaves the code unchanged.
+    """
+    code, kind = next((c, k) for types, c, k in _EXIT_CODES if isinstance(exc, types))
     print(f"marketstates: {kind} error: {exc}", file=sys.stderr)
+    if report_dir is not None:
+        try:
+            _write_json(
+                report_dir / "report.json",
+                {
+                    "status": "error",
+                    "error_kind": kind,
+                    "error": str(exc),
+                    "config": _config_payload(config),
+                },
+            )
+        except OSError:
+            pass
+    return code
 
 
-def _failure_report(out_dir: Path, config: RunConfig, kind: str, exc: Exception) -> None:
-    """Best-effort report.json for post-mortem, even when the run failed."""
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        _write_json(
-            out_dir / "report.json",
-            {
-                "status": "error",
-                "error_kind": kind,
-                "error": str(exc),
-                "config": _config_payload(config),
-            },
-        )
-    except OSError:
-        pass
+def run_fit(config: RunConfig, returns: ReturnsPanel) -> StatePath:
+    """Fit one configuration to loaded returns and write its output files.
 
-
-def run_fit(config: RunConfig) -> int:
-    """Execute one fit end to end; returns the process exit code."""
-    try:
-        config.validate()
-        out_dir = Path(config.output_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except ConfigError as exc:
-        _diagnose("config", exc)
-        return EXIT_CONFIG
-    except OSError as exc:
-        _diagnose("config", exc)
-        return EXIT_CONFIG
-
-    try:
-        panel = load_price_panel(config.input_path)
-        returns = to_log_returns(panel)
-    except DataError as exc:
-        _diagnose("data", exc)
-        _failure_report(out_dir, config, "data", exc)
-        return EXIT_DATA
-
-    try:
-        models, path, report = fit(returns, config.clustering)
-    except ConfigError as exc:
-        _diagnose("config", exc)
-        _failure_report(out_dir, config, "config", exc)
-        return EXIT_CONFIG
-    except DataError as exc:
-        _diagnose("data", exc)
-        _failure_report(out_dir, config, "data", exc)
-        return EXIT_DATA
-    except (FitError, EstimationError) as exc:
-        _diagnose("fit", exc)
-        _failure_report(out_dir, config, "fit", exc)
-        return EXIT_FIT
+    Returns the fitted path; every failure raises for the caller to map.
+    """
+    out_dir = Path(config.output_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    models, path, report = fit(returns, config.clustering)
 
     scored_returns = (
         standardize_returns(returns) if config.clustering.standardize else returns
@@ -195,89 +174,71 @@ def run_fit(config: RunConfig) -> int:
         try:
             ratio_pair = suggest_ratio_states(path, scored_returns)
         except ValueError as exc:
-            _diagnose("fit", exc)
-            _failure_report(out_dir, config, "fit", exc)
-            return EXIT_FIT
+            raise FitError(str(exc)) from exc
     if ratio_pair is not None:
         series = likelihood_ratio(scored_returns, models, ratio_pair[0], ratio_pair[1])
 
-    if "csv" in config.formats:
-        _write_states_csv(out_dir / "states.csv", returns.dates, path.labels)
-        if series is not None:
-            _write_ratio_csv(out_dir / "ratio.csv", series)
-    if "json" in config.formats:
-        _write_json(out_dir / "models.json", _models_payload(models, returns.assets))
+    _write_csv(out_dir / "states.csv", "date,label", returns.dates, map(int, path.labels))
+    if series is not None:
+        cells = (repr(float(v)) for v in series.values)
+        _write_csv(out_dir / "ratio.csv", "date,value", series.dates, cells)
+    _write_json(out_dir / "models.json", _models_payload(models, returns.assets))
 
     payload = {"status": "ok", "config": _config_payload(config)}
     payload.update(report.to_dict())
     if series is not None:
         payload["ratio_states"] = [int(series.state_a), int(series.state_b)]
     _write_json(out_dir / "report.json", payload)
-    return EXIT_OK
+    return path
 
 
-def run_sweep(config: RunConfig, k_list, gamma_list) -> int:
-    """Run the fit once per (clusters, gamma) cell; summarize agreement.
+def _sweep_cells(config: RunConfig, k_list, gamma_list) -> list:
+    """Validated (directory name, RunConfig) of every (clusters, gamma) cell."""
+    if not k_list or not gamma_list:
+        raise ConfigError("sweep lists must be non-empty")
+    cells = []
+    for k, gamma in itertools.product(k_list, gamma_list):
+        name = f"K{k}_gamma{gamma:g}"
+        cell = replace(
+            config,
+            output_dir=str(Path(config.output_dir) / name),
+            clustering=replace(config.clustering, n_clusters=k, gamma=float(gamma)),
+        )
+        cell.validate()
+        cells.append((name, cell))
+    return cells
+
+
+def run_sweep(config: RunConfig, returns: ReturnsPanel, cells) -> int:
+    """Run the fit once per cell on the same returns; summarize agreement.
 
     Each cell writes the standard outputs into its own subdirectory;
     sweep.json holds the pairwise matched-label agreement matrix. Returns
-    0 only if every cell succeeded.
+    0 only if every cell succeeded, else the first failing cell's code.
     """
-    try:
-        config.validate()
-        if not k_list or not gamma_list:
-            raise ConfigError("sweep lists must be non-empty")
-        for k in k_list:
-            if not isinstance(k, int) or k < 2:
-                raise ConfigError(f"sweep clusters must be integers >= 2, got {k}")
-        for g in gamma_list:
-            if not np.isfinite(g) or g < 0:
-                raise ConfigError(f"sweep gamma must be finite and >= 0, got {g}")
-        out_dir = Path(config.output_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except ConfigError as exc:
-        _diagnose("config", exc)
-        return EXIT_CONFIG
-    except OSError as exc:
-        _diagnose("config", exc)
-        return EXIT_CONFIG
-
-    cells = []
-    labels_by_cell = []
+    summary = []
+    labels = []
     first_failure = EXIT_OK
-    for k in k_list:
-        for gamma in gamma_list:
-            name = f"K{k}_gamma{gamma:g}"
-            cell_config = replace(
-                config,
-                output_dir=str(out_dir / name),
-                clustering=replace(config.clustering, n_clusters=k, gamma=float(gamma)),
-            )
-            code = run_fit(cell_config)
-            cells.append(
-                {"clusters": k, "gamma": float(gamma), "dir": name, "exit_code": code}
-            )
-            if code == EXIT_OK:
-                labels_by_cell.append(_read_labels(out_dir / name / "states.csv"))
-            else:
-                labels_by_cell.append(None)
-                if first_failure == EXIT_OK:
-                    first_failure = code
+    for name, cell in cells:
+        try:
+            labels.append(run_fit(cell, returns).labels)
+            code = EXIT_OK
+        except _HANDLED as exc:
+            labels.append(None)
+            code = _fail(exc, cell, Path(cell.output_dir))
+            first_failure = first_failure or code
+        k, gamma = cell.clustering.n_clusters, cell.clustering.gamma
+        summary.append({"clusters": k, "gamma": gamma, "dir": name, "exit_code": code})
 
-    n_cells = len(cells)
-    agreement = [[None] * n_cells for _ in range(n_cells)]
-    for i in range(n_cells):
-        for j in range(n_cells):
-            if labels_by_cell[i] is not None and labels_by_cell[j] is not None:
-                agreement[i][j] = label_agreement(labels_by_cell[i], labels_by_cell[j])
-    _write_json(out_dir / "sweep.json", {"cells": cells, "agreement": agreement})
+    # agreement against a failed cell is unknown, not fabricated
+    agreement = [
+        [None if a is None or b is None else label_agreement(a, b) for b in labels]
+        for a in labels
+    ]
+    _write_json(
+        Path(config.output_dir) / "sweep.json", {"cells": summary, "agreement": agreement}
+    )
     return first_failure
-
-
-def _read_labels(states_csv: Path) -> np.ndarray:
-    with open(states_csv, "r", encoding="utf-8") as fh:
-        next(fh)
-        return np.array([int(line.rstrip("\n").split(",")[1]) for line in fh], dtype=int)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -320,15 +281,17 @@ def build_parser() -> argparse.ArgumentParser:
                         help="minimum points per state (default: assets + 1)")
     parser.add_argument("--ratio", default=None,
                         help="'A,B' state labels or 'auto' for lowest-vs-highest mean return")
-    parser.add_argument("--sweep-k", default=None, help="comma-separated cluster counts")
-    parser.add_argument("--sweep-gamma", default=None, help="comma-separated gamma values")
+    parser.add_argument("--sweep-k", type=_int_list, default=None,
+                        help="comma-separated cluster counts")
+    parser.add_argument("--sweep-gamma", type=_float_list, default=None,
+                        help="comma-separated gamma values")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    config = report_dir = None
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         clustering = ClusteringConfig(
             n_clusters=args.clusters,
             gamma=args.gamma,
@@ -345,19 +308,24 @@ def main(argv=None) -> int:
             clustering=clustering,
             ratio=args.ratio,
         )
+        config.validate()
+        cells = None
         if args.sweep_k is not None or args.sweep_gamma is not None:
-            k_list = _int_list(args.sweep_k) if args.sweep_k is not None else [args.clusters]
-            gamma_list = (
-                _float_list(args.sweep_gamma) if args.sweep_gamma is not None else [args.gamma]
+            cells = _sweep_cells(
+                config,
+                args.sweep_k if args.sweep_k is not None else [args.clusters],
+                args.sweep_gamma if args.sweep_gamma is not None else [args.gamma],
             )
-            return run_sweep(config, k_list, gamma_list)
-        return run_fit(config)
-    except ConfigError as exc:
-        _diagnose("config", exc)
-        return EXIT_CONFIG
-    except ValueError as exc:
-        _diagnose("config", exc)
-        return EXIT_CONFIG
+        out_dir = Path(config.output_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        report_dir = out_dir
+        returns = to_log_returns(load_price_panel(config.input_path))
+        if cells is not None:
+            return run_sweep(config, returns, cells)
+        run_fit(config, returns)
+        return EXIT_OK
+    except _HANDLED as exc:
+        return _fail(exc, config, report_dir)
 
 
 if __name__ == "__main__":

@@ -161,43 +161,6 @@ def build_tmfg(similarity) -> TmfgGraph:
     return TmfgGraph(n=n, edges=frozenset(edges), cliques=cliques, separators=separators)
 
 
-def perfect_elimination_ordering(graph: TmfgGraph):
-    """Return a perfect elimination ordering, or None if the graph has none.
-
-    Runs maximum cardinality search and verifies the resulting ordering;
-    an ordering exists exactly when the graph is chordal.
-    """
-    n = graph.n
-    adj = [set() for _ in range(n)]
-    for i, j in graph.edges:
-        adj[i].add(j)
-        adj[j].add(i)
-
-    weight = [0] * n
-    visited = [False] * n
-    visit_order = []
-    for _ in range(n):
-        v = max((u for u in range(n) if not visited[u]), key=lambda u: (weight[u], -u))
-        visited[v] = True
-        visit_order.append(v)
-        for u in adj[v]:
-            if not visited[u]:
-                weight[u] += 1
-
-    order = visit_order[::-1]
-    pos = {v: i for i, v in enumerate(order)}
-    for v in order:
-        later = [u for u in adj[v] if pos[u] > pos[v]]
-        for a, b in itertools.combinations(later, 2):
-            if b not in adj[a]:
-                return None
-    return order
-
-
-def is_chordal(graph: TmfgGraph) -> bool:
-    return perfect_elimination_ordering(graph) is not None
-
-
 def _prepare_block(covariance: np.ndarray, verts) -> tuple:
     """Extract a clique/separator sub-covariance, ridging it if needed.
 
@@ -281,19 +244,3 @@ def logo_precision(covariance, graph: TmfgGraph) -> SparsePrecision:
     matrix = sp.csr_matrix((data, (rows, cols)), shape=(graph.n, graph.n))
 
     return SparsePrecision(n=graph.n, matrix=matrix, log_det=logdet_precision(cov, graph))
-
-
-def quadratic_form(precision: SparsePrecision, d) -> float:
-    """d' J d evaluated over the stored nonzeros only."""
-    d = np.asarray(d, dtype=float)
-    if d.shape != (precision.n,):
-        raise ValueError(f"vector shape {d.shape} does not match dimension {precision.n}")
-    return float(d @ precision.matrix.dot(d))
-
-
-def dump_edges(graph: TmfgGraph, similarity, path) -> None:
-    """Write the graph as an edge list, one "i j weight" line per edge."""
-    w = np.asarray(similarity, dtype=float)
-    with open(path, "w", encoding="utf-8") as fh:
-        for i, j in sorted(graph.edges):
-            fh.write(f"{i} {j} {float(w[i, j])!r}\n")

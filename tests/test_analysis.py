@@ -185,3 +185,8 @@ def test_label_agreement_known_value():
 def test_label_agreement_rejects_length_mismatch():
     with pytest.raises(ValueError):
         label_agreement(np.zeros(4, dtype=int), np.zeros(5, dtype=int))
+
+
+def test_label_agreement_rejects_empty_input():
+    with pytest.raises(ValueError, match="empty"):
+        label_agreement([], [])

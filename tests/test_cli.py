@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import panels
+from marketstates import cli
 from marketstates.cli import main
 
 
@@ -19,6 +20,12 @@ def price_csv(tmp_path_factory):
 
 def _run(argv):
     return main([str(a) for a in argv])
+
+
+def _one_stderr_line(capsys) -> str:
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err, err
+    return err
 
 
 def test_fit_writes_all_outputs(price_csv, tmp_path):
@@ -104,37 +111,47 @@ def test_cli_runs_are_byte_identical(price_csv, tmp_path):
     assert a == b
 
 
-def test_exit_code_on_bad_config(price_csv, tmp_path):
-    assert _run(["--input", price_csv, "--output", tmp_path / "x", "--clusters", 1]) == 1
-    assert _run(["--input", price_csv, "--output", tmp_path / "x", "--gamma", -5]) == 1
-    assert _run(
-        ["--input", price_csv, "--output", tmp_path / "x", "--ratio", "nonsense"]
-    ) == 1
-    assert _run(
-        ["--input", price_csv, "--output", tmp_path / "x",
-         "--clusters", 3, "--ratio", "0,7"]
-    ) == 1
-    assert _run(
-        ["--input", price_csv, "--output", tmp_path / "x", "--min-cluster-size", 400]
-    ) == 1
+def test_exit_code_on_bad_config(price_csv, tmp_path, capsys):
+    base = ["--input", price_csv, "--output", tmp_path / "x"]
+    for extra in (
+        ["--clusters", 1],
+        ["--gamma", -5],
+        ["--ratio", "nonsense"],
+        ["--clusters", 3, "--ratio", "0,7"],
+        ["--min-cluster-size", 400],
+        ["--sweep-k", "2,x"],
+        ["--sweep-gamma", "nan"],
+    ):
+        assert _run(base + extra) == 1, extra
+        _one_stderr_line(capsys)
 
 
 def test_exit_code_on_unknown_flag(price_csv, tmp_path, capsys):
     assert _run(["--input", price_csv, "--output", tmp_path / "x", "--bogus"]) == 1
-    assert "config error" in capsys.readouterr().err
+    assert "config error" in _one_stderr_line(capsys)
 
 
-def test_exit_code_on_missing_input(tmp_path):
+def test_exit_code_on_missing_input(tmp_path, capsys):
     assert _run(["--input", tmp_path / "absent.csv", "--output", tmp_path / "x"]) == 2
+    _one_stderr_line(capsys)
 
 
-def test_exit_code_on_malformed_csv(tmp_path):
+def test_exit_code_on_malformed_csv(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("date,A,B,C,D\n2020-01-01,1,1,1,1\n2020-01-02,-3,1,1,1\n")
     assert _run(["--input", bad, "--output", tmp_path / "x"]) == 2
+    _one_stderr_line(capsys)
+    # bytes that are not UTF-8, and a cell beyond the csv module's field limit
+    for body in (
+        b"date,A,B,C,D\n2020-01-01,1,1,1,1\n\xff\xfe,1,1,1,1\n",
+        b"date,A,B,C,D\n2020-01-01," + b"1" * 200_000 + b",1,1,1\n",
+    ):
+        bad.write_bytes(body)
+        assert _run(["--input", bad, "--output", tmp_path / "x"]) == 2
+        assert "not a readable UTF-8 CSV file" in _one_stderr_line(capsys)
 
 
-def test_exit_code_on_fit_failure(tmp_path):
+def test_exit_code_on_fit_failure(tmp_path, capsys):
     # flat prices leave zero-variance returns: estimation cannot proceed
     flat = tmp_path / "flat.csv"
     rows = ["date,A,B,C,D"]
@@ -143,9 +160,32 @@ def test_exit_code_on_fit_failure(tmp_path):
     flat.write_text("\n".join(rows) + "\n")
     out = tmp_path / "x"
     assert _run(["--input", flat, "--output", out, "--clusters", 2]) == 3
+    _one_stderr_line(capsys)
     report = json.loads((out / "report.json").read_text())
     assert report["status"] == "error"
     assert report["error_kind"] == "fit"
+
+
+def test_auto_ratio_with_one_occupied_state_is_a_fit_failure(price_csv, tmp_path, capsys):
+    # a prohibitive switching penalty keeps every day in one state
+    out = tmp_path / "onestate"
+    code = _run(
+        ["--input", price_csv, "--output", out, "--clusters", 2, "--gamma", 1e9,
+         "--ratio", "auto"]
+    )
+    assert code == 3
+    assert "two occupied states" in _one_stderr_line(capsys)
+    assert json.loads((out / "report.json").read_text())["error_kind"] == "fit"
+
+
+def test_exit_code_on_unwritable_output(price_csv, tmp_path, capsys):
+    # a directory where states.csv should go makes the write fail
+    out = tmp_path / "blocked"
+    (out / "states.csv").mkdir(parents=True)
+    assert _run(["--input", price_csv, "--output", out, "--clusters", 3]) == 1
+    assert "states.csv" in _one_stderr_line(capsys)
+    report = json.loads((out / "report.json").read_text())
+    assert report["status"] == "error"
 
 
 def test_failure_report_written_for_data_error(tmp_path, price_csv):
@@ -190,10 +230,41 @@ def test_sweep_gamma_only_uses_base_clusters(price_csv, tmp_path):
     assert {p.name for p in out.iterdir()} == {"K3_gamma50", "K3_gamma100", "sweep.json"}
 
 
-def test_sweep_rejects_empty_list(price_csv, tmp_path):
+def test_sweep_rejects_empty_list(price_csv, tmp_path, capsys):
     assert _run(
         ["--input", price_csv, "--output", tmp_path / "x", "--sweep-k", ""]
     ) == 1
+    _one_stderr_line(capsys)
+
+
+def test_sweep_loads_the_panel_once(price_csv, tmp_path, monkeypatch):
+    calls = []
+    load = cli.load_price_panel
+
+    def counting_load(path, *args, **kwargs):
+        calls.append(path)
+        return load(path, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "load_price_panel", counting_load)
+    code = _run(
+        ["--input", price_csv, "--output", tmp_path / "once",
+         "--sweep-k", "2,3", "--sweep-gamma", "10,100", "--max-iter", 2]
+    )
+    assert code == 0
+    assert len(calls) == 1
+
+
+def test_sweep_on_missing_input_fails_once(tmp_path, capsys):
+    out = tmp_path / "nosweep"
+    code = _run(
+        ["--input", tmp_path / "absent.csv", "--output", out,
+         "--sweep-k", "2,3", "--sweep-gamma", "10,100"]
+    )
+    assert code == 2
+    _one_stderr_line(capsys)
+    # no cell ran: the failure report sits in the output directory itself
+    assert {p.name for p in out.iterdir()} == {"report.json"}
+    assert json.loads((out / "report.json").read_text())["error_kind"] == "data"
 
 
 def test_sweep_propagates_cell_failure(price_csv, tmp_path):
@@ -212,5 +283,6 @@ def test_sweep_propagates_cell_failure(price_csv, tmp_path):
     assert matrix[0][0] == 1.0
 
 
-def test_missing_required_flags():
+def test_missing_required_flags(capsys):
     assert main([]) == 1
+    _one_stderr_line(capsys)

@@ -14,16 +14,7 @@ from hypothesis import strategies as st
 
 import panels
 from marketstates.errors import SingularSubmatrixError
-from marketstates.ifn import (
-    TmfgGraph,
-    build_tmfg,
-    dump_edges,
-    is_chordal,
-    logdet_precision,
-    logo_precision,
-    perfect_elimination_ordering,
-    quadratic_form,
-)
+from marketstates.ifn import build_tmfg, logdet_precision, logo_precision
 from marketstates.ifn import _seed_exhaustive
 
 
@@ -109,42 +100,19 @@ def test_structure_invariants(rng):
             assert sum(set(sep) <= cs for cs in clique_sets) >= 2
 
 
+def _nx_graph(g):
+    gx = nx.Graph()
+    gx.add_nodes_from(range(g.n))
+    gx.add_edges_from(g.edges)
+    return gx
+
+
 def test_chordal_and_planar_against_networkx(rng):
     for _ in range(30):
         n = int(rng.integers(4, 26))
-        g = build_tmfg(panels.random_similarity(rng, n))
-        gx = nx.Graph()
-        gx.add_nodes_from(range(n))
-        gx.add_edges_from(g.edges)
+        gx = _nx_graph(build_tmfg(panels.random_similarity(rng, n)))
         assert nx.is_chordal(gx)
         assert nx.check_planarity(gx)[0]
-        assert is_chordal(g)
-
-
-def test_perfect_elimination_ordering(rng):
-    g = build_tmfg(panels.random_similarity(rng, 15))
-    order = perfect_elimination_ordering(g)
-    assert sorted(order) == list(range(15))
-    adj = {v: set() for v in range(15)}
-    for i, j in g.edges:
-        adj[i].add(j)
-        adj[j].add(i)
-    position = {v: i for i, v in enumerate(order)}
-    for v in order:
-        later = [u for u in adj[v] if position[u] > position[v]]
-        for a, b in itertools.combinations(later, 2):
-            assert b in adj[a]
-
-
-def test_non_chordal_graph_detected():
-    # 4-cycle without a chord
-    square = TmfgGraph(
-        n=4,
-        edges=frozenset({(0, 1), (1, 2), (2, 3), (0, 3)}),
-        cliques=[],
-        separators=[],
-    )
-    assert not is_chordal(square)
 
 
 @settings(max_examples=40, deadline=None)
@@ -155,7 +123,7 @@ def test_structure_counts_hold_for_any_input(n, seed):
     assert len(g.edges) == 3 * n - 6
     assert len(g.cliques) == n - 3
     assert len(g.separators) == max(n - 4, 0)
-    assert is_chordal(g)
+    assert nx.is_chordal(_nx_graph(g))
 
 
 def test_deterministic_rebuild(rng):
@@ -311,19 +279,6 @@ def test_small_sample_beats_dense_inverse(rng):
     assert wins >= 16
 
 
-def test_quadratic_form(rng):
-    n = 10
-    cov = panels.random_spd(rng, n)
-    g = build_tmfg(panels.random_similarity(rng, n))
-    sp = logo_precision(cov, g)
-    assert quadratic_form(sp, np.zeros(n)) == 0.0
-    d = rng.normal(size=n)
-    dense = sp.matrix.toarray()
-    assert quadratic_form(sp, d) == pytest.approx(d @ dense @ d, abs=1e-10)
-    identity = logo_precision(np.eye(n), g)
-    assert quadratic_form(identity, d) == pytest.approx(d @ d, abs=1e-12)
-
-
 def test_ill_conditioned_block_gets_ridge(rng):
     # two near-identical assets: clique sub-covariances are near singular,
     # the ridge keeps assembly finite
@@ -361,21 +316,3 @@ def test_validation_rejects_bad_similarity(rng):
     w[0, 1] += 1.0  # asymmetric
     with pytest.raises(ValueError):
         build_tmfg(w)
-
-
-def test_dump_edges(tmp_path, rng):
-    w = panels.random_similarity(rng, 5)
-    g = build_tmfg(w)
-    out = tmp_path / "edges.txt"
-    dump_edges(g, w, out)
-    lines = out.read_text().splitlines()
-    assert len(lines) == len(g.edges)
-    seen = set()
-    for line in lines:
-        i, j, weight = line.split()
-        i, j = int(i), int(j)
-        assert (i, j) in g.edges
-        assert float(weight) == pytest.approx(w[i, j])
-        seen.add((i, j))
-    assert seen == set(g.edges)
-    assert lines == sorted(lines, key=lambda s: tuple(map(int, s.split()[:2])))

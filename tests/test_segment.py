@@ -89,6 +89,15 @@ def test_config_rejects(kwargs):
         ClusteringConfig(**kwargs).validate()
 
 
+@pytest.mark.parametrize(
+    "name", ["n_clusters", "max_iterations", "seed", "min_cluster_size", "restarts"]
+)
+def test_config_rejects_bool_for_integer_fields(name):
+    # bool is an int subclass; True must not pass as a count or a seed
+    with pytest.raises(ConfigError, match=name):
+        ClusteringConfig(**{name: True}).validate()
+
+
 # --- scoring
 
 
