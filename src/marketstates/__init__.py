@@ -29,7 +29,6 @@ from .ifn import (
     logo_precision,
 )
 from .ingest import (
-    IngestOptions,
     PricePanel,
     ReturnsPanel,
     load_price_panel,
@@ -58,7 +57,6 @@ __all__ = [
     "EstimationError",
     "FitError",
     "FitReport",
-    "IngestOptions",
     "MarketStatesError",
     "PricePanel",
     "RatioSeries",

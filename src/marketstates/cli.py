@@ -248,12 +248,18 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _int_list(text: str) -> list:
-    return [int(p) for p in text.split(",") if p.strip() != ""]
+def _list_of(convert, noun: str):
+    """argparse type for a comma-separated list of convert(item) values."""
 
+    def parse(text: str) -> list:
+        try:
+            return [convert(p) for p in text.split(",") if p.strip() != ""]
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated {noun}, got {text!r}"
+            ) from None
 
-def _float_list(text: str) -> list:
-    return [float(p) for p in text.split(",") if p.strip() != ""]
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -281,9 +287,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="minimum points per state (default: assets + 1)")
     parser.add_argument("--ratio", default=None,
                         help="'A,B' state labels or 'auto' for lowest-vs-highest mean return")
-    parser.add_argument("--sweep-k", type=_int_list, default=None,
+    parser.add_argument("--sweep-k", type=_list_of(int, "integers"), default=None,
                         help="comma-separated cluster counts")
-    parser.add_argument("--sweep-gamma", type=_float_list, default=None,
+    parser.add_argument("--sweep-gamma", type=_list_of(float, "numbers"), default=None,
                         help="comma-separated gamma values")
     return parser
 

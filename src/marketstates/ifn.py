@@ -1,13 +1,14 @@
 """Information-filtering network construction and sparse precision estimation.
 
 build_tmfg grows a Triangulated Maximally Filtered Graph: a planar chordal
-graph with 3n-6 edges, built by seeding the heaviest 4-clique and then
-repeatedly inserting the (vertex, triangular face) pair that adds the most
-similarity weight. Because every maximal clique has size 4 and every
-separator size 3, the inverse covariance restricted to that structure has
-a closed form: the LoGo estimate sums inverted clique sub-covariances and
-subtracts inverted separator sub-covariances, and its log-determinant is
-the matching difference of sub-covariance log-determinants.
+graph with 3n-6 edges, built by choosing a 4-vertex seed greedily by weight
+and then repeatedly inserting the (vertex, triangular face) pair that adds
+the most similarity weight. Because every maximal clique has size 4 and
+every separator size 3, the inverse covariance restricted to that
+structure has a closed form: the LoGo estimate sums inverted clique
+sub-covariances and subtracts inverted separator sub-covariances, and its
+log-determinant is the matching difference of sub-covariance
+log-determinants.
 """
 
 import itertools
@@ -17,10 +18,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import SingularSubmatrixError
-
-# Exhaustive seed search is O(n^4); beyond this size fall back to a greedy
-# row-sum heuristic.
-_EXHAUSTIVE_SEED_LIMIT = 200
 
 # Sub-covariance blocks with condition number above this get a small ridge
 # (eps * trace / size) before inversion, so clusters with few observations
@@ -76,30 +73,6 @@ def _validate_similarity(similarity) -> np.ndarray:
     return w
 
 
-def _seed_exhaustive(w: np.ndarray) -> tuple:
-    """Max total-weight 4-clique, enumerating each quadruple once.
-
-    For a fixed pair (i, j) taken as the two smallest members, the best
-    completion (k, l) maximizes s_k + s_l + w[k, l] with s = w[i] + w[j],
-    which vectorizes to an n x n sweep per pair.
-    """
-    n = w.shape[0]
-    best_val = -np.inf
-    best = (0, 1, 2, 3)
-    for i in range(n - 3):
-        for j in range(i + 1, n - 2):
-            tail = np.arange(j + 1, n)
-            s = w[i, tail] + w[j, tail]
-            grid = s[:, None] + s[None, :] + w[np.ix_(tail, tail)]
-            ku, lu = np.triu_indices(tail.size, k=1)
-            vals = grid[ku, lu] + w[i, j]
-            t = int(np.argmax(vals))
-            if vals[t] > best_val:
-                best_val = float(vals[t])
-                best = (i, j, int(tail[ku[t]]), int(tail[lu[t]]))
-    return best
-
-
 def _seed_greedy(w: np.ndarray) -> tuple:
     chosen = [int(np.argmax(w.sum(axis=0)))]
     while len(chosen) < 4:
@@ -112,17 +85,18 @@ def _seed_greedy(w: np.ndarray) -> tuple:
 def build_tmfg(similarity) -> TmfgGraph:
     """Build the TMFG of a symmetric similarity matrix (diagonal ignored).
 
-    Greedy construction: seed with the 4 vertices of maximal total pairwise
-    similarity, then repeatedly insert the remaining vertex into the
-    triangular face that gains the most weight, replacing that face with
-    three new ones. Ties break toward the lowest vertex index, then the
-    oldest face. Deterministic for a given input.
+    Greedy construction: seed with the vertex of largest similarity row
+    sum, then three times add the vertex of largest summed similarity to
+    the vertices already chosen (ties toward the lowest index); then
+    repeatedly insert the remaining vertex into the triangular face that
+    gains the most weight, replacing that face with three new ones. Ties
+    break toward the lowest vertex index, then the oldest face. The same
+    rule holds for every n. Deterministic for a given input.
     """
     w = _validate_similarity(similarity)
     n = w.shape[0]
 
-    seed = _seed_exhaustive(w) if n <= _EXHAUSTIVE_SEED_LIMIT else _seed_greedy(w)
-    seed = tuple(sorted(seed))
+    seed = _seed_greedy(w)
     edges = {tuple(sorted(p)) for p in itertools.combinations(seed, 2)}
     cliques = [seed]
     separators: list = []

@@ -17,15 +17,10 @@ import numpy as np
 from .errors import DataError
 
 _ISO_DATE = re.compile(r"^\d{4}-\d{2}-\d{2}$")
-
-
-@dataclass(frozen=True)
-class IngestOptions:
-    """Knobs for :func:`load_price_panel`."""
-
-    date_column: str = "date"
-    min_rows: int = 2
-    min_assets: int = 4
+_DATE_COLUMN = "date"
+_MIN_ROWS = 2
+# the smallest panel the downstream graph builder accepts
+_MIN_ASSETS = 4
 
 
 @dataclass
@@ -61,10 +56,6 @@ class PricePanel:
                 "is not a positive finite number"
             )
 
-    @property
-    def shape(self):
-        return self.values.shape
-
 
 @dataclass
 class ReturnsPanel:
@@ -90,10 +81,6 @@ class ReturnsPanel:
                 "is not finite"
             )
 
-    @property
-    def shape(self):
-        return self.values.shape
-
 
 def _parse_price(cell: str, line_no: int, column: str) -> float:
     try:
@@ -111,22 +98,21 @@ def _parse_price(cell: str, line_no: int, column: str) -> float:
     return value
 
 
-def _read_rows(reader, path, opts: IngestOptions) -> tuple:
+def _read_rows(reader, path) -> tuple:
     """Parse the header and data rows; returns (assets, [(date, prices)])."""
     try:
         header = next(reader)
     except StopIteration:
         raise DataError(f"{path}: file is empty") from None
-    if not header or header[0].strip().lower() != opts.date_column.lower():
+    if not header or header[0].strip().lower() != _DATE_COLUMN:
         raise DataError(
-            f"{path}: first column must be {opts.date_column!r}, "
+            f"{path}: first column must be {_DATE_COLUMN!r}, "
             f"got {header[0]!r}" if header else f"{path}: empty header row"
         )
     assets = [h.strip() for h in header[1:]]
-    if len(assets) < opts.min_assets:
+    if len(assets) < _MIN_ASSETS:
         raise DataError(
-            f"{path}: need at least {opts.min_assets} asset columns, "
-            f"got {len(assets)}"
+            f"{path}: need at least {_MIN_ASSETS} asset columns, got {len(assets)}"
         )
     if len(set(assets)) != len(assets):
         raise DataError(f"{path}: duplicate asset columns in header")
@@ -152,15 +138,13 @@ def _read_rows(reader, path, opts: IngestOptions) -> tuple:
     return assets, rows
 
 
-def load_price_panel(path, options: IngestOptions | None = None) -> PricePanel:
+def load_price_panel(path) -> PricePanel:
     """Read a CSV price file into a validated, date-sorted PricePanel.
 
     Raises DataError on a missing file, malformed header, unparseable or
     non-positive cell (reported by line and column), duplicate dates, or
-    a panel smaller than the configured minimum (default 2 rows and 4
-    assets, the smallest panel the downstream graph builder accepts).
+    a panel smaller than 2 rows and 4 assets.
     """
-    opts = options or IngestOptions()
     try:
         fh = open(path, "r", encoding="utf-8", newline="")
     except OSError as exc:
@@ -168,12 +152,12 @@ def load_price_panel(path, options: IngestOptions | None = None) -> PricePanel:
 
     with fh:
         try:
-            assets, rows = _read_rows(csv.reader(fh), path, opts)
+            assets, rows = _read_rows(csv.reader(fh), path)
         except (UnicodeDecodeError, csv.Error) as exc:
             raise DataError(f"{path}: not a readable UTF-8 CSV file: {exc}") from exc
 
-    if len(rows) < opts.min_rows:
-        raise DataError(f"{path}: need at least {opts.min_rows} data rows, got {len(rows)}")
+    if len(rows) < _MIN_ROWS:
+        raise DataError(f"{path}: need at least {_MIN_ROWS} data rows, got {len(rows)}")
 
     rows.sort(key=lambda item: item[0])
     values = np.array([p for _, p in rows], dtype=float)

@@ -103,10 +103,6 @@ class ScoreMatrix:
             t, k = np.argwhere(~np.isfinite(self.values))[0]
             raise ValueError(f"score at t={t}, state={k} is not finite")
 
-    @property
-    def shape(self):
-        return self.values.shape
-
 
 @dataclass
 class StatePath:

@@ -119,11 +119,16 @@ def test_exit_code_on_bad_config(price_csv, tmp_path, capsys):
         ["--ratio", "nonsense"],
         ["--clusters", 3, "--ratio", "0,7"],
         ["--min-cluster-size", 400],
-        ["--sweep-k", "2,x"],
         ["--sweep-gamma", "nan"],
     ):
         assert _run(base + extra) == 1, extra
         _one_stderr_line(capsys)
+    # a malformed sweep list is reported by its flag, not by its converter
+    for flag, value in (("--sweep-k", "2,x"), ("--sweep-gamma", "1,abc")):
+        assert _run(base + [flag, value]) == 1, flag
+        line = _one_stderr_line(capsys)
+        assert f"argument {flag}: expected comma-separated" in line, line
+        assert "_list" not in line, line
 
 
 def test_exit_code_on_unknown_flag(price_csv, tmp_path, capsys):

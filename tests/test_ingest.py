@@ -6,7 +6,6 @@ import pytest
 import panels
 from marketstates.errors import DataError
 from marketstates.ingest import (
-    IngestOptions,
     PricePanel,
     ReturnsPanel,
     load_price_panel,
@@ -55,12 +54,6 @@ def test_header_date_column_case_insensitive(tmp_path):
     body = BASIC.replace("date,", "Date,", 1)
     panel = load_price_panel(_write(tmp_path, body))
     assert panel.values.shape == (3, 4)
-
-
-def test_custom_date_column(tmp_path):
-    body = BASIC.replace("date,", "day,", 1)
-    panel = load_price_panel(_write(tmp_path, body), IngestOptions(date_column="day"))
-    assert list(panel.dates) == ["2020-01-01", "2020-01-02", "2020-01-03"]
 
 
 def test_doubling_price_gives_ln2(tmp_path):
