@@ -9,6 +9,12 @@ structure has a closed form: the LoGo estimate sums inverted clique
 sub-covariances and subtracts inverted separator sub-covariances, and its
 log-determinant is the matching difference of sub-covariance
 log-determinants.
+
+The block algebra is batched: the 4x4 clique blocks and the 3x3
+separator blocks each form one stack that one numpy call conditions,
+factorizes or inverts. Only the sums over blocks keep a fixed order (see
+logo_precision and logdet_precision), so results equal those of a
+block-by-block loop bit for bit.
 """
 
 import itertools
@@ -135,26 +141,28 @@ def build_tmfg(similarity) -> TmfgGraph:
     return TmfgGraph(n=n, edges=frozenset(edges), cliques=cliques, separators=separators)
 
 
-def _prepare_block(covariance: np.ndarray, verts) -> tuple:
-    """Extract a clique/separator sub-covariance, ridging it if needed.
+def _blocks(cov: np.ndarray, vertex_sets, width: int) -> tuple:
+    """The symmetrized (m, width, width) sub-covariances on vertex_sets.
 
-    Returns the (possibly regularized) block and its log-determinant;
-    raises SingularSubmatrixError when the block is not positive definite
-    even after the ridge, naming the offending vertex set.
+    Blocks with a condition number above the limit (or not finite) and a
+    positive trace get eps * trace / width added to the diagonal. Returns
+    the vertex index array, the blocks and their log-determinants; raises
+    SingularSubmatrixError naming the first vertex set whose block is not
+    positive definite.
     """
-    verts = tuple(verts)
-    block = covariance[np.ix_(verts, verts)]
-    block = 0.5 * (block + block.T)
-    size = block.shape[0]
-    cond = np.linalg.cond(block)
-    if not np.isfinite(cond) or cond > _RIDGE_CONDITION_LIMIT:
-        trace = float(np.trace(block))
-        if trace > 0.0:
-            block = block + (_RIDGE_EPS * trace / size) * np.eye(size)
-    sign, logdet = np.linalg.slogdet(block)
-    if sign <= 0.0 or not np.isfinite(logdet):
-        raise SingularSubmatrixError(verts, "not positive definite")
-    return block, float(logdet)
+    idx = np.array(vertex_sets, dtype=np.intp).reshape(-1, width)
+    blocks = cov[idx[:, :, None], idx[:, None, :]]
+    blocks = 0.5 * (blocks + blocks.transpose(0, 2, 1))
+    cond = np.linalg.cond(blocks)
+    trace = np.trace(blocks, axis1=1, axis2=2)
+    ridged = np.flatnonzero((~np.isfinite(cond) | (cond > _RIDGE_CONDITION_LIMIT)) & (trace > 0.0))
+    blocks[ridged] += (_RIDGE_EPS * trace[ridged] / width)[:, None, None] * np.eye(width)
+    sign, logdet = np.linalg.slogdet(blocks)
+    bad = (sign <= 0.0) | ~np.isfinite(logdet)
+    if bad.any():
+        first = int(np.argmax(bad))
+        raise SingularSubmatrixError(vertex_sets[first], "not positive definite")
+    return idx, blocks, logdet
 
 
 def _check_covariance(covariance, graph: TmfgGraph) -> np.ndarray:
@@ -170,14 +178,20 @@ def logdet_precision(covariance, graph: TmfgGraph) -> float:
     """log |J| of the LoGo precision, without assembling J.
 
     On the clique/separator decomposition the determinant factorizes, so
-    log |J| = sum_S log |cov_S| - sum_C log |cov_C|.
+    log |J| = sum_S log |cov_S| - sum_C log |cov_C|. The block
+    log-determinants come from one batched slogdet per block size; the
+    sum is a running float sum, separators first and then cliques, each in
+    graph order. np.sum groups terms pairwise and, from Python 3.12,
+    builtin sum() compensates, so either would change the last bits.
     """
     cov = _check_covariance(covariance, graph)
+    separator_logdets = _blocks(cov, graph.separators, 3)[2]
+    clique_logdets = _blocks(cov, graph.cliques, 4)[2]
     total = 0.0
-    for s in graph.separators:
-        total += _prepare_block(cov, s)[1]
-    for c in graph.cliques:
-        total -= _prepare_block(cov, c)[1]
+    for value in separator_logdets.tolist():
+        total += value
+    for value in clique_logdets.tolist():
+        total -= value
     return total
 
 
@@ -187,34 +201,32 @@ def logo_precision(covariance, graph: TmfgGraph) -> SparsePrecision:
     Each 4x4 clique sub-covariance is inverted and added at its indices;
     each 3x3 separator sub-covariance is inverted and subtracted. The
     result is exact when the true precision is supported on the graph.
+
+    Cliques and separators are each inverted in one batched call and the
+    inverses symmetrized. Their upper-triangle entries are scattered with
+    np.add.at, which adds in index order: every entry of J starts at 0.0
+    and sums clique contributions in graph order, then separator ones.
+    The stored matrix mirrors each off-diagonal sum, so J is exactly
+    symmetric. log_det comes from logdet_precision.
     """
     cov = _check_covariance(covariance, graph)
-    upper: dict = {}
+    n = graph.n
+    keys, values = [], []
+    for vertex_sets, width, sign in ((graph.cliques, 4, 1.0), (graph.separators, 3, -1.0)):
+        idx, blocks, _ = _blocks(cov, vertex_sets, width)
+        inv = np.linalg.inv(blocks)
+        inv = 0.5 * (inv + inv.transpose(0, 2, 1))
+        a, b = np.triu_indices(width)
+        lo, hi = np.minimum(idx[:, a], idx[:, b]), np.maximum(idx[:, a], idx[:, b])
+        keys.append((lo * n + hi).ravel())
+        values.append(sign * inv[:, a, b].ravel())
 
-    def accumulate(verts, sign):
-        block, _ = _prepare_block(cov, verts)
-        inv = np.linalg.inv(block)
-        inv = 0.5 * (inv + inv.T)
-        for a in range(len(verts)):
-            for b in range(a, len(verts)):
-                i, j = verts[a], verts[b]
-                key = (i, j) if i <= j else (j, i)
-                upper[key] = upper.get(key, 0.0) + sign * inv[a, b]
-
-    for clique in graph.cliques:
-        accumulate(clique, 1.0)
-    for sep in graph.separators:
-        accumulate(sep, -1.0)
-
-    rows, cols, data = [], [], []
-    for (i, j), value in sorted(upper.items()):
-        rows.append(i)
-        cols.append(j)
-        data.append(value)
-        if i != j:
-            rows.append(j)
-            cols.append(i)
-            data.append(value)
-    matrix = sp.csr_matrix((data, (rows, cols)), shape=(graph.n, graph.n))
-
-    return SparsePrecision(n=graph.n, matrix=matrix, log_det=logdet_precision(cov, graph))
+    upper, position = np.unique(np.concatenate(keys), return_inverse=True)
+    sums = np.zeros(upper.size)
+    np.add.at(sums, position, np.concatenate(values))
+    i, j = np.divmod(upper, n)
+    off = i != j
+    rows = np.concatenate([i, j[off]])
+    cols = np.concatenate([j, i[off]])
+    matrix = sp.csr_matrix((np.concatenate([sums, sums[off]]), (rows, cols)), shape=(n, n))
+    return SparsePrecision(n=n, matrix=matrix, log_det=logdet_precision(cov, graph))

@@ -175,7 +175,11 @@ def solve_path(scores: ScoreMatrix, gamma: float) -> StatePath:
 
     Exact dynamic programming: the penalty only looks one step back, so
     each state's best predecessor is either itself (no penalty) or the
-    globally best previous state (penalized). Ties prefer staying.
+    globally best previous state (penalized; the lowest index among equal
+    bests, as np.argmax picks). Ties between staying and switching prefer
+    staying. The recursion runs over plain Python floats, one addition per
+    (day, state) in day order, and keeps a stay byte per (day, state) and
+    the best state per day to backtrack.
     """
     if not np.isfinite(gamma) or gamma < 0.0:
         raise ValueError(f"gamma must be finite and >= 0, got {gamma}")
@@ -184,22 +188,34 @@ def solve_path(scores: ScoreMatrix, gamma: float) -> StatePath:
     v = scores.values
     t_len, k_len = v.shape
 
-    back = np.zeros((t_len, k_len), dtype=int)
-    value = v[0].copy()
-    ks = np.arange(k_len)
+    rows = v.tolist()
+    penalty = float(gamma)  # float64 arithmetic whatever type gamma has
+    stays = bytearray(t_len * k_len)
+    best = [0] * t_len
+    value = rows[0]
     for t in range(1, t_len):
-        best_j = int(np.argmax(value))
-        switch_value = value[best_j] - gamma
-        stay = value >= switch_value
-        back[t] = np.where(stay, ks, best_j)
-        value = v[t] + np.where(stay, value, switch_value)
+        top = max(value)
+        best[t] = value.index(top)
+        switch_value = top - penalty
+        row = rows[t]
+        base = t * k_len
+        new = []
+        for k in range(k_len):
+            x = value[k]
+            if x >= switch_value:
+                stays[base + k] = 1
+                new.append(row[k] + x)
+            else:
+                new.append(row[k] + switch_value)
+        value = new
 
-    labels = np.empty(t_len, dtype=int)
-    k = int(np.argmax(value))
-    labels[-1] = k
+    k = value.index(max(value))
+    path = [k] * t_len
     for t in range(t_len - 1, 0, -1):
-        k = int(back[t, k])
-        labels[t - 1] = k
+        if not stays[t * k_len + k]:
+            k = best[t]
+        path[t - 1] = k
+    labels = np.array(path, dtype=int)
 
     switches = int(np.count_nonzero(np.diff(labels)))
     objective = float(v[np.arange(t_len), labels].sum() - gamma * switches)

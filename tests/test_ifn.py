@@ -9,12 +9,19 @@ import itertools
 import networkx as nx
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import panels
 from marketstates.errors import SingularSubmatrixError
-from marketstates.ifn import build_tmfg, logdet_precision, logo_precision
+from marketstates.ifn import (
+    _RIDGE_CONDITION_LIMIT,
+    _RIDGE_EPS,
+    build_tmfg,
+    logdet_precision,
+    logo_precision,
+)
 
 
 def greedy_seed_oracle(w):
@@ -189,6 +196,105 @@ def test_greedy_beats_random_constructions(rng):
 
 
 # --- precision assembly
+
+
+def logo_loop_oracle(cov, g):
+    """LoGo assembly one block at a time with plain loops.
+
+    Each clique and separator block is sliced, symmetrized, ridged when
+    its condition number is above the limit (and its trace positive),
+    checked by slogdet, inverted and symmetrized again; entries
+    accumulate cliques first, then separators, each from 0.0. The
+    log-determinant adds separators, then subtracts cliques. Returns
+    (CSR matrix, log_det, number of ridged blocks).
+    """
+    ridged = 0
+
+    def prepare(verts):
+        nonlocal ridged
+        block = cov[np.ix_(verts, verts)]
+        block = 0.5 * (block + block.T)
+        cond = np.linalg.cond(block)
+        if not np.isfinite(cond) or cond > _RIDGE_CONDITION_LIMIT:
+            trace = float(np.trace(block))
+            if trace > 0.0:
+                block = block + (_RIDGE_EPS * trace / len(verts)) * np.eye(len(verts))
+                ridged += 1
+        sign, logdet = np.linalg.slogdet(block)
+        if sign <= 0.0 or not np.isfinite(logdet):
+            raise SingularSubmatrixError(verts, "not positive definite")
+        return block, float(logdet)
+
+    upper = {}
+    signed_blocks = [(c, 1.0) for c in g.cliques] + [(s, -1.0) for s in g.separators]
+    for verts, sign in signed_blocks:
+        inv = np.linalg.inv(prepare(verts)[0])
+        inv = 0.5 * (inv + inv.T)
+        for a in range(len(verts)):
+            for b in range(a, len(verts)):
+                key = (verts[a], verts[b])
+                upper[key] = upper.get(key, 0.0) + sign * inv[a, b]
+    log_det = 0.0
+    for s in g.separators:
+        log_det += prepare(s)[1]
+    for c in g.cliques:
+        log_det -= prepare(c)[1]
+
+    rows, cols, data = [], [], []
+    for (i, j), value in sorted(upper.items()):
+        rows.append(i)
+        cols.append(j)
+        data.append(value)
+        if i != j:
+            rows.append(j)
+            cols.append(i)
+            data.append(value)
+    matrix = sparse.csr_matrix((data, (rows, cols)), shape=(g.n, g.n))
+    return matrix, log_det, ridged
+
+
+def _assert_matches_loop_oracle(cov, g):
+    matrix, log_det, ridged = logo_loop_oracle(cov, g)
+    got = logo_precision(cov, g)
+    for attr in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got.matrix, attr), getattr(matrix, attr)), attr
+        assert getattr(got.matrix, attr).dtype == getattr(matrix, attr).dtype, attr
+    assert got.log_det == log_det
+    assert logdet_precision(cov, g) == log_det
+    return ridged
+
+
+def test_logo_bitwise_matches_loop_oracle(rng):
+    # n=4 has one clique and an empty separator stack
+    for n in range(4, 61):
+        g = build_tmfg(panels.random_similarity(rng, n))
+        _assert_matches_loop_oracle(panels.random_spd(rng, n), g)
+
+
+def test_logo_bitwise_matches_loop_oracle_with_ridge(rng):
+    # the near-duplicate assets of test_ill_conditioned_block_gets_ridge
+    m = 400
+    x = rng.normal(size=(m, 6))
+    x[:, 1] = x[:, 0] + 1e-14 * rng.normal(size=m)
+    cov = np.cov(x, rowvar=False, ddof=1)
+    w = np.abs(np.corrcoef(x, rowvar=False))
+    np.fill_diagonal(w, 0.0)
+    assert _assert_matches_loop_oracle(cov, build_tmfg(w)) > 0
+
+
+def test_singular_block_error_names_the_oracle_block(rng):
+    # every 4x4 block of -I has det +1, so the first failure is a separator
+    bad = -np.eye(6)
+    g = build_tmfg(panels.random_similarity(rng, 6))
+    with pytest.raises(SingularSubmatrixError) as expected:
+        logo_loop_oracle(bad, g)
+    assert expected.value.vertices == tuple(g.separators[0])
+    with pytest.raises(SingularSubmatrixError) as err:
+        logo_precision(bad, g)
+    assert err.value.vertices == expected.value.vertices
+    with pytest.raises(SingularSubmatrixError) as err:
+        logdet_precision(bad, g)
+    assert err.value.vertices == expected.value.vertices
 
 
 def test_identity_covariance_gives_identity_precision(rng):

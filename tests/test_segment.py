@@ -57,6 +57,31 @@ def brute_force_path(values, gamma):
     return best
 
 
+def reference_path(values, gamma):
+    """The switching DP with numpy arrays per day and an int back-pointer
+    matrix: stay when the state's value is at least the best value minus
+    gamma (ties stay), otherwise switch from the first best state."""
+    t_len, k_len = values.shape
+    back = np.zeros((t_len, k_len), dtype=int)
+    value = values[0].copy()
+    ks = np.arange(k_len)
+    for t in range(1, t_len):
+        best_j = int(np.argmax(value))
+        switch_value = value[best_j] - gamma
+        stay = value >= switch_value
+        back[t] = np.where(stay, ks, best_j)
+        value = values[t] + np.where(stay, value, switch_value)
+    labels = np.empty(t_len, dtype=int)
+    k = int(np.argmax(value))
+    labels[-1] = k
+    for t in range(t_len - 1, 0, -1):
+        k = int(back[t, k])
+        labels[t - 1] = k
+    switches = int(np.count_nonzero(np.diff(labels)))
+    objective = float(values[np.arange(t_len), labels].sum() - gamma * switches)
+    return labels, objective
+
+
 # --- configuration
 
 
@@ -173,6 +198,20 @@ def test_matches_brute_force(rng):
         assert path.objective == pytest.approx(brute_force_path(values, gamma), abs=1e-9)
         recomputed = values[np.arange(t_len), path.labels].sum() - gamma * path.switches
         assert path.objective == pytest.approx(recomputed, abs=1e-12)
+
+
+def test_labels_match_reference_on_ties(rng):
+    # integer scores in {0, 1, 2} tie often, so the labels pin the
+    # tie-break rule and not only the optimal objective
+    for k_len in range(1, 7):
+        for gamma in (0.0, 1.0, 2.0, 1e6):
+            for t_len in (1, 2, 3, 300, *rng.integers(4, 300, size=4)):
+                values = rng.integers(0, 3, size=(int(t_len), k_len)).astype(float)
+                path = solve_path(values, gamma)
+                labels, objective = reference_path(values, gamma)
+                assert np.array_equal(path.labels, labels)
+                assert path.labels.dtype == labels.dtype
+                assert path.objective == objective
 
 
 def test_known_switch_layout():
