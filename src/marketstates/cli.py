@@ -156,14 +156,15 @@ def _fail(exc: Exception, config: RunConfig | None, report_dir: Path | None) -> 
     return code
 
 
-def run_fit(config: RunConfig, returns: ReturnsPanel) -> StatePath:
+def run_fit(config: RunConfig, returns: ReturnsPanel, *, memo=None) -> StatePath:
     """Fit one configuration to loaded returns and write its output files.
 
+    memo is fit's memo of starting states, valid for these returns only.
     Returns the fitted path; every failure raises for the caller to map.
     """
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    models, path, report = fit(returns, config.clustering)
+    models, path, report = fit(returns, config.clustering, memo=memo)
 
     scored_returns = (
         standardize_returns(returns) if config.clustering.standardize else returns
@@ -199,6 +200,11 @@ def _sweep_cells(config: RunConfig, k_list, gamma_list) -> list:
     cells = []
     for k, gamma in itertools.product(k_list, gamma_list):
         name = f"K{k}_gamma{gamma:g}"
+        if any(name == other for other, _ in cells):
+            raise ConfigError(
+                f"sweep cell K={k}, gamma={gamma!r} would write into {name!r}, "
+                "the directory of an earlier cell"
+            )
         cell = replace(
             config,
             output_dir=str(Path(config.output_dir) / name),
@@ -215,13 +221,19 @@ def run_sweep(config: RunConfig, returns: ReturnsPanel, cells) -> int:
     Each cell writes the standard outputs into its own subdirectory;
     sweep.json holds the pairwise matched-label agreement matrix. Returns
     0 only if every cell succeeded, else the first failing cell's code.
+    Cells of equal K share one memo of starting states, so the states
+    they all start from are estimated once.
     """
     summary = []
     labels = []
     first_failure = EXIT_OK
+    memo, memo_k = {}, None
     for name, cell in cells:
+        if cell.clustering.n_clusters != memo_k:
+            # no start of another K can match, so those are dropped
+            memo, memo_k = {}, cell.clustering.n_clusters
         try:
-            labels.append(run_fit(cell, returns).labels)
+            labels.append(run_fit(cell, returns, memo=memo).labels)
             code = EXIT_OK
         except _HANDLED as exc:
             labels.append(None)

@@ -3,12 +3,16 @@
 build_tmfg grows a Triangulated Maximally Filtered Graph: a planar chordal
 graph with 3n-6 edges, built by choosing a 4-vertex seed greedily by weight
 and then repeatedly inserting the (vertex, triangular face) pair that adds
-the most similarity weight. Because every maximal clique has size 4 and
-every separator size 3, the inverse covariance restricted to that
-structure has a closed form: the LoGo estimate sums inverted clique
-sub-covariances and subtracts inverted separator sub-covariances, and its
-log-determinant is the matching difference of sub-covariance
-log-determinants.
+the most similarity weight. As in the original construction (Massara,
+Di Matteo & Aste, J. Complex Networks 2016), each face keeps its best
+remaining vertex, and an insertion rescans only the faces it made stale:
+the three new faces and those whose best vertex it took.
+
+Because every maximal clique has size 4 and every separator size 3, the
+inverse covariance restricted to that structure has a closed form: the
+LoGo estimate sums inverted clique sub-covariances and subtracts inverted
+separator sub-covariances, and its log-determinant is the matching
+difference of sub-covariance log-determinants.
 
 The block algebra is batched: the 4x4 clique blocks and the 3x3
 separator blocks each form one stack that one numpy call conditions,
@@ -95,48 +99,72 @@ def build_tmfg(similarity) -> TmfgGraph:
     sum, then three times add the vertex of largest summed similarity to
     the vertices already chosen (ties toward the lowest index); then
     repeatedly insert the remaining vertex into the triangular face that
-    gains the most weight, replacing that face with three new ones. Ties
-    break toward the lowest vertex index, then the oldest face. The same
-    rule holds for every n. Deterministic for a given input.
+    gains the most weight, replacing that face with three new ones.
+
+    Each live face keeps its best remaining vertex and that vertex's gain
+    w[v, a] + w[v, b] + w[v, c], ties toward the lowest vertex. A step
+    takes the face of largest gain; among tied faces, the one with the
+    lowest best vertex, then the oldest. This is the best (vertex, face)
+    pair over all pairs, ties toward the lowest vertex and then the
+    oldest face. After inserting v, only the faces whose best vertex was
+    v and the three new faces are rescanned, in one batched call. The
+    same rule holds for every n. Deterministic for a given input.
     """
     w = _validate_similarity(similarity)
     n = w.shape[0]
-
     seed = _seed_greedy(w)
-    edges = {tuple(sorted(p)) for p in itertools.combinations(seed, 2)}
+    # row u of w_t is column u of w, so w_t[a] + w_t[b] + w_t[c] holds
+    # w[v, a] + w[v, b] + w[v, c] for every v, summed in that order; only
+    # w_t is read from here on, so w is dropped to keep one n x n copy
+    w_t = np.ascontiguousarray(w.T)
+    del w
+
+    edges = set(itertools.combinations(seed, 2))
     cliques = [seed]
     separators: list = []
-    faces = [tuple(sorted(f)) for f in itertools.combinations(seed, 3)]
+    faces = list(itertools.combinations(seed, 3))
 
-    remaining = np.array(sorted(set(range(n)) - set(seed)), dtype=int)
-    if remaining.size:
-        # gains[v, f] = similarity added by inserting vertex v into face f;
-        # rows stay in ascending vertex order and columns in face creation
-        # order so a flat argmax realizes the tie-break rule.
-        gains = np.stack(
-            [w[np.ix_(remaining, list(f))].sum(axis=1) for f in faces], axis=1
-        )
+    # per face, in creation order: its vertices, best remaining vertex
+    # (-1 once consumed) and that vertex's gain (-inf once consumed)
+    capacity = 3 * n - 8
+    face_vertices = np.empty((capacity, 3), dtype=np.intp)
+    face_vertices[:4] = faces
+    best_vertex = np.full(capacity, -1, dtype=np.intp)
+    best_gain = np.full(capacity, -np.inf)
+    placed = np.zeros(n, dtype=bool)
+    placed[list(seed)] = True
+    stale = np.arange(4)
 
-    while remaining.size:
-        vi, fi = np.unravel_index(int(np.argmax(gains)), gains.shape)
-        v = int(remaining[vi])
+    for _ in range(n - 4):
+        a, b, c = face_vertices[stale].T
+        gains = w_t[a]
+        gains += w_t[b]
+        gains += w_t[c]
+        gains[:, placed] = -np.inf
+        best = gains.argmax(axis=1)
+        best_vertex[stale] = best
+        best_gain[stale] = gains[np.arange(stale.size), best]
+
+        top = np.flatnonzero(best_gain == best_gain.max())
+        fi = int(top[np.argmin(best_vertex[top])])
+        v = int(best_vertex[fi])
         face = faces[fi]
 
         for u in face:
             edges.add((min(u, v), max(u, v)))
         cliques.append(tuple(sorted((*face, v))))
         separators.append(face)
+        best_vertex[fi] = -1
+        best_gain[fi] = -np.inf
+        placed[v] = True
 
-        new_faces = [tuple(sorted((a, b, v))) for a, b in itertools.combinations(face, 2)]
-        remaining = np.delete(remaining, vi)
-        gains = np.delete(np.delete(gains, vi, axis=0), fi, axis=1)
-        faces.pop(fi)
-        if remaining.size:
-            new_cols = np.stack(
-                [w[np.ix_(remaining, list(f))].sum(axis=1) for f in new_faces], axis=1
-            )
-            gains = np.concatenate([gains, new_cols], axis=1)
+        k = len(faces)
+        new_faces = [tuple(sorted((x, y, v))) for x, y in itertools.combinations(face, 2)]
         faces.extend(new_faces)
+        face_vertices[k : k + 3] = new_faces
+        # the new faces count as stale alongside those that lost v
+        best_vertex[k : k + 3] = v
+        stale = np.flatnonzero(best_vertex[: k + 3] == v)
 
     return TmfgGraph(n=n, edges=frozenset(edges), cliques=cliques, separators=separators)
 

@@ -130,10 +130,19 @@ def _read_rows(reader, path) -> tuple:
             raise DataError(
                 f"line {line_no}: date {date_cell!r} is not ISO-8601 (YYYY-MM-DD)"
             )
-        prices = [
-            _parse_price(cell.strip(), line_no, assets[j])
-            for j, cell in enumerate(row[1:])
-        ]
+        # fast path for a row of positive finite prices (float() strips
+        # whitespace itself); any other row is parsed cell by cell, which
+        # names the first bad cell's line and column
+        try:
+            prices = list(map(float, row[1:]))
+            valid = math.isfinite(sum(prices)) and min(prices) > 0.0
+        except ValueError:
+            valid = False
+        if not valid:
+            prices = [
+                _parse_price(cell.strip(), line_no, assets[j])
+                for j, cell in enumerate(row[1:])
+            ]
         rows.append((date_cell, prices))
     return assets, rows
 

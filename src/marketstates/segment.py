@@ -291,19 +291,36 @@ def _absorb_window(labels, realized_scores, state, length, blocked):
     return labels
 
 
-def _estimate_all(panel, labels, config: ClusteringConfig):
-    models = []
+def _estimate_all(panel, labels, config: ClusteringConfig, known: dict):
+    """One model per state, reusing those whose member set known holds.
+
+    known maps (member-index bytes, similarity mode, standardize flag) to
+    a model and gains every state estimated here; EstimationError is not
+    kept. A member set can come back under another label, so the label is
+    set on the way out. Returns the models and their keys, in label order.
+    """
+    models, keys = [], []
     for k in range(config.n_clusters):
         idx = np.flatnonzero(labels == k)
-        try:
-            models.append(estimate_cluster(panel, idx, config, label=k))
-        except EstimationError as exc:
-            exc.cluster_label = k
-            raise
-    return models
+        key = (idx.tobytes(), config.similarity_mode, config.standardize)
+        model = known.get(key)
+        if model is None:
+            try:
+                model = estimate_cluster(panel, idx, config, label=k)
+            except EstimationError as exc:
+                exc.cluster_label = k
+                raise
+            known[key] = model
+        models.append(replace(model, label=k))
+        keys.append(key)
+    return models, keys
 
 
-def _fit_once(panel: ReturnsPanel, config: ClusteringConfig, initial_labels, min_size):
+def _fit_once(panel: ReturnsPanel, config: ClusteringConfig, initial_labels, min_size, memo):
+    # The starting states come from and go into memo, if given. A later
+    # iteration looks only among the states of the current iterate, which
+    # the fit holds anyway, so refits keep no extra models alive.
+    known = {} if memo is None else memo
     k_len = config.n_clusters
     t_len = panel.values.shape[0]
     labels = np.asarray(initial_labels, dtype=int).copy()
@@ -339,7 +356,8 @@ def _fit_once(panel: ReturnsPanel, config: ClusteringConfig, initial_labels, min
                 attempts += 1
                 continue
             try:
-                models = _estimate_all(panel, labels, config)
+                models, keys = _estimate_all(panel, labels, config, known)
+                known = dict(zip(keys, models))
                 break
             except EstimationError as exc:
                 failed = getattr(exc, "cluster_label", None)
@@ -383,7 +401,7 @@ def _fit_once(panel: ReturnsPanel, config: ClusteringConfig, initial_labels, min
     return models, path, report
 
 
-def fit(returns: ReturnsPanel, config: ClusteringConfig, initial_labels=None):
+def fit(returns: ReturnsPanel, config: ClusteringConfig, initial_labels=None, *, memo=None):
     """Fit K market states to a returns panel.
 
     Alternates exact penalized assignment (solve_path) with per-state
@@ -391,6 +409,15 @@ def fit(returns: ReturnsPanel, config: ClusteringConfig, initial_labels=None):
     changing, the iteration budget runs out, or the objective drops after
     a graph re-selection; the best-objective iterate is returned either
     way. Deterministic for a given (panel, config, seed).
+
+    A refit iteration reuses each state whose members did not change.
+    memo, if given, is a dict from (member-index bytes, similarity mode,
+    standardize flag) to the model of a starting state: each start (the
+    equal-block labels, then any restarts) reuses the states it holds
+    and adds those it estimates, so fits that start from the same labels,
+    such as the sweep cells that share K, estimate them once. Its keys
+    hold member indices, not data, so one memo is only valid for one
+    returns panel. Left as None, no start is kept.
 
     Returns (models, path, report).
     """
@@ -423,7 +450,7 @@ def fit(returns: ReturnsPanel, config: ClusteringConfig, initial_labels=None):
 
     best_result = None
     for labels0 in inits:
-        models, path, report = _fit_once(panel, config, labels0, min_size)
+        models, path, report = _fit_once(panel, config, labels0, min_size, memo)
         report = replace(report, restarts_used=len(inits) - 1)
         if best_result is None or path.objective > best_result[1].objective:
             best_result = (models, path, report)

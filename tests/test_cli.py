@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import panels
-from marketstates import cli
+from marketstates import cli, segment
 from marketstates.cli import main
 
 
@@ -257,6 +257,57 @@ def test_sweep_loads_the_panel_once(price_csv, tmp_path, monkeypatch):
     )
     assert code == 0
     assert len(calls) == 1
+
+
+def test_sweep_estimates_each_state_once(price_csv, tmp_path, monkeypatch):
+    # with one iteration each cell fits its equal-block states, so cells of
+    # equal K share all of them: 2 + 3 distinct states, not 2 * (2 + 3)
+    calls = []
+    build = segment.build_tmfg
+
+    def counting_build(similarity):
+        calls.append(similarity.shape)
+        return build(similarity)
+
+    monkeypatch.setattr(segment, "build_tmfg", counting_build)
+    # the memo a cell gets holds the starts of its own K only, and a
+    # single fit gets none
+    held = []
+    fit = cli.fit
+
+    def recording_fit(returns, config, *, memo):
+        held.append(None if memo is None else len(memo))
+        return fit(returns, config, memo=memo)
+
+    monkeypatch.setattr(cli, "fit", recording_fit)
+    out = tmp_path / "memo"
+    code = _run(
+        ["--input", price_csv, "--output", out, "--sweep-k", "2,3",
+         "--sweep-gamma", "10,100", "--max-iter", 1, "--ratio", "auto"]
+    )
+    assert code == 0
+    assert len(calls) == 5
+    # each cell writes what a fit of its own writes
+    single = tmp_path / "single"
+    assert _run(
+        ["--input", price_csv, "--output", single, "--clusters", 3,
+         "--gamma", 100, "--max-iter", 1, "--ratio", "auto"]
+    ) == 0
+    for name in ("states.csv", "models.json", "ratio.csv"):
+        assert (out / "K3_gamma100" / name).read_bytes() == (single / name).read_bytes()
+    assert held == [0, 2, 0, 3, None]
+
+
+def test_sweep_rejects_colliding_cells(price_csv, tmp_path, capsys):
+    # 50 and 50.0000001 both print as gamma50
+    out = tmp_path / "collide"
+    code = _run(
+        ["--input", price_csv, "--output", out, "--sweep-k", "2,2",
+         "--sweep-gamma", "50,50.0000001"]
+    )
+    assert code == 1
+    assert "K2_gamma50" in _one_stderr_line(capsys)
+    assert not out.exists()  # rejected before the panel loads
 
 
 def test_sweep_on_missing_input_fails_once(tmp_path, capsys):

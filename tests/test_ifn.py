@@ -18,6 +18,8 @@ from marketstates.errors import SingularSubmatrixError
 from marketstates.ifn import (
     _RIDGE_CONDITION_LIMIT,
     _RIDGE_EPS,
+    _seed_greedy,
+    _validate_similarity,
     build_tmfg,
     logdet_precision,
     logo_precision,
@@ -70,6 +72,77 @@ def greedy_tmfg_oracle(w):
         edges.update((min(v, u), max(v, u)) for u in face)
         faces.extend(pair + (v,) for pair in itertools.combinations(face, 2))
     return frozenset(edges), cliques, separators
+
+
+def reference_tmfg(similarity):
+    """The growth loop over a full (remaining vertex, face) gains matrix.
+
+    Rows stay in ascending vertex order and columns in face creation
+    order, so a flat argmax picks the best pair with ties toward the
+    lowest vertex, then the oldest face. Every insertion deletes the
+    chosen row and column and appends three new face columns.
+    """
+    w = _validate_similarity(similarity)
+    n = w.shape[0]
+    seed = _seed_greedy(w)
+    edges = {tuple(sorted(p)) for p in itertools.combinations(seed, 2)}
+    cliques = [seed]
+    separators = []
+    faces = [tuple(sorted(f)) for f in itertools.combinations(seed, 3)]
+
+    remaining = np.array(sorted(set(range(n)) - set(seed)), dtype=int)
+    if remaining.size:
+        gains = np.stack(
+            [w[np.ix_(remaining, list(f))].sum(axis=1) for f in faces], axis=1
+        )
+    while remaining.size:
+        vi, fi = np.unravel_index(int(np.argmax(gains)), gains.shape)
+        v = int(remaining[vi])
+        face = faces[fi]
+        for u in face:
+            edges.add((min(u, v), max(u, v)))
+        cliques.append(tuple(sorted((*face, v))))
+        separators.append(face)
+        new_faces = [tuple(sorted((a, b, v))) for a, b in itertools.combinations(face, 2)]
+        remaining = np.delete(remaining, vi)
+        gains = np.delete(np.delete(gains, vi, axis=0), fi, axis=1)
+        faces.pop(fi)
+        if remaining.size:
+            new_cols = np.stack(
+                [w[np.ix_(remaining, list(f))].sum(axis=1) for f in new_faces], axis=1
+            )
+            gains = np.concatenate([gains, new_cols], axis=1)
+        faces.extend(new_faces)
+    return frozenset(edges), cliques, separators
+
+
+def _symmetric_integers(rng, n):
+    w = np.triu(rng.integers(0, 3, size=(n, n)).astype(float), 1)
+    return w + w.T
+
+
+def _assert_matches_reference(w):
+    g = build_tmfg(w)
+    edges, cliques, separators = reference_tmfg(w)
+    assert g.edges == edges
+    # LoGo sums blocks in graph order, so the order must match too
+    assert g.cliques == cliques
+    assert g.separators == separators
+
+
+@pytest.mark.parametrize("n", [*range(4, 81), 250])
+def test_growth_matches_gains_matrix_reference(rng, n):
+    ties = _symmetric_integers(rng, n)
+    # asymmetry below the 1e-9 the validator accepts decides between tied
+    # faces, so this fails if a gain is read as w[a, v] instead of w[v, a]
+    skew = ties + rng.uniform(-4e-10, 4e-10, size=(n, n))
+    # 0.1, 0.2 and 0.3 sum to different floats in different orders
+    tenths = 0.1 * (ties + 1.0)
+    cases = [ties, skew, tenths, np.full((n, n), 0.7), np.zeros((n, n))]
+    if n <= 80:
+        cases.append(panels.random_similarity(rng, n))
+    for w in cases:
+        _assert_matches_reference(w)
 
 
 @pytest.mark.parametrize("n", [199, 201])

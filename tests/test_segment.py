@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import panels
+from marketstates import segment
 from marketstates.errors import ConfigError, EstimationError, FitError
 from marketstates.ifn import build_tmfg, logo_precision
 from marketstates.ingest import ReturnsPanel
@@ -434,3 +435,117 @@ def test_monotone_improvement_between_iterations(three_regime):
     assert report.objective == pytest.approx(best)
     if report.objective_decreased:
         assert report.objective_trajectory[-1] < best
+
+
+# --- state-estimate memo
+
+
+def _count_estimates(monkeypatch):
+    """Record the member set of every estimate_cluster call made by fit."""
+    calls = []
+    estimate = segment.estimate_cluster
+
+    def counting(returns, member_indices, config, label=0):
+        calls.append(np.asarray(member_indices).tobytes())
+        return estimate(returns, member_indices, config, label=label)
+
+    monkeypatch.setattr(segment, "estimate_cluster", counting)
+    return calls
+
+
+def _assert_same_fit(a, b):
+    (models_a, path_a, report_a), (models_b, path_b, report_b) = a, b
+    assert np.array_equal(path_a.labels, path_b.labels)
+    assert path_a.objective == path_b.objective
+    assert report_a.to_dict() == report_b.to_dict()
+    assert len(models_a) == len(models_b)
+    for ma, mb in zip(models_a, models_b):
+        assert (ma.label, ma.member_count) == (mb.label, mb.member_count)
+        assert np.array_equal(ma.mu, mb.mu)
+        assert ma.precision.log_det == mb.precision.log_det
+        ja, jb = ma.precision.matrix, mb.precision.matrix
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(ja, name), getattr(jb, name))
+
+
+def test_shared_memo_gives_the_same_fit(three_regime):
+    # the memo is warmed under every setting it keys on, so a key that
+    # left one out would hand a fit another setting's states
+    panel, _ = three_regime
+    keyed = list(itertools.product((False, True), ("signed", "absolute")))
+    memo = {}
+    for standardize, similarity in keyed:
+        warm = ClusteringConfig(
+            n_clusters=3, gamma=10.0, seed=0,
+            standardize=standardize, similarity_mode=similarity,
+        )
+        fit(panel, warm, memo=memo)
+    for standardize, similarity in keyed:
+        config = ClusteringConfig(
+            n_clusters=3, gamma=100.0, seed=0, restarts=2,
+            standardize=standardize, similarity_mode=similarity,
+        )
+        _assert_same_fit(fit(panel, config), fit(panel, config, memo=memo))
+
+
+def test_memo_keeps_only_the_starting_states(three_regime, monkeypatch):
+    # restarts share the memo for their starts; refit states stay out of
+    # it, so what a memo holds does not grow with the iterations
+    panel, _ = three_regime
+    config = ClusteringConfig(n_clusters=3, gamma=100.0, seed=0, restarts=3)
+    calls = _count_estimates(monkeypatch)
+    memo = {}
+    _, _, report = fit(panel, config, memo=memo)
+    assert report.restarts_used == 3
+    assert len(calls) > len(memo) == 3 * (1 + 3)  # the states of each start
+    blocks = np.repeat(np.arange(3), 200)
+    assert {(np.flatnonzero(blocks == k).tobytes(), "signed", False) for k in range(3)} <= memo.keys()
+    # a second fit of the same panel estimates only its refit states
+    first = list(calls)
+    calls.clear()
+    fit(panel, config, memo=memo)
+    assert len(calls) == len(first) - len(memo)
+
+
+def test_refit_reuses_the_states_of_the_iterate_before(three_regime, monkeypatch):
+    panel, truth = three_regime
+    calls = _count_estimates(monkeypatch)
+    rounds = []
+    estimate_all = segment._estimate_all
+
+    def recording(panel, labels, config, known):
+        before = len(calls)
+        models, keys = estimate_all(panel, labels, config, known)
+        rounds.append((keys, calls[before:]))
+        return models, keys
+
+    monkeypatch.setattr(segment, "_estimate_all", recording)
+    # state 0 starts 40 days into state 1, so the refit moves those two
+    # and leaves state 2 as it was
+    labels0 = truth.copy()
+    labels0[200:240] = 0
+    fit(panel, ClusteringConfig(n_clusters=3, gamma=100.0, seed=0), initial_labels=labels0)
+    assert len(rounds) >= 2
+    assert rounds[0][1] == [key[0] for key in rounds[0][0]]
+    reused = 0
+    for (before, _), (keys, estimated) in zip(rounds, rounds[1:]):
+        fresh = [key[0] for key in keys if key not in before]
+        assert estimated == fresh
+        reused += len(keys) - len(fresh)
+    assert reused > 0
+
+
+def test_memo_hit_under_another_label_gets_that_label(three_regime, monkeypatch):
+    panel, truth = three_regime
+    config = ClusteringConfig(n_clusters=3, gamma=100.0, seed=0, max_iterations=1)
+    memo = {}
+    first, _, _ = fit(panel, config, initial_labels=truth, memo=memo)
+    calls = _count_estimates(monkeypatch)
+    perm = np.array([2, 0, 1])
+    second, _, _ = fit(panel, config, initial_labels=perm[truth], memo=memo)
+    assert calls == []  # every state came from the memo
+    assert [m.label for m in first] == [0, 1, 2]
+    assert [m.label for m in second] == [0, 1, 2]
+    for k in range(3):
+        assert second[perm[k]].mu is first[k].mu
+        assert second[perm[k]].member_count == first[k].member_count
