@@ -5,14 +5,16 @@ difference of their likelihood-mode scores, positive when the first
 state explains that date better. The switching penalty is a property of
 paths, not of single dates, so it never enters the ratio. summarize
 tallies occupancy, switching, and per-state equal-weight return stats
-from a label path.
+from a label path. label_agreement matches the states of two label paths
+with an exact Hungarian method on their integer confusion counts (Kuhn,
+Naval Res. Logistics Quarterly 1955), in plain Python.
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .ingest import ReturnsPanel
 from .segment import StatePath, score_states
@@ -81,7 +83,8 @@ def summarize(path: StatePath, returns: ReturnsPanel) -> StateSummary:
         raise ValueError(
             f"path length {t_len} does not match panel length {len(returns.dates)}"
         )
-    states = [int(s) for s in np.unique(labels)]
+    # not np.unique: its first call imports numpy.ma (about 10 ms)
+    states = sorted({int(s) for s in labels.tolist()})
     counts = {s: int(np.count_nonzero(labels == s)) for s in states}
     fractions = {s: counts[s] / t_len for s in states}
     switches = int(np.count_nonzero(np.diff(labels)))
@@ -120,12 +123,62 @@ def suggest_ratio_states(path: StatePath, returns: ReturnsPanel) -> tuple:
     return crisis, bull
 
 
+def _matched_sum(weights) -> int:
+    """The largest sum of a one-to-one matching of rows to columns.
+
+    weights is a k_a x k_b matrix of non-negative integers. It is padded
+    with zeros to a square and solved by the O(k^3) Hungarian method with
+    row and column potentials, minimizing the negated weights. Integer
+    arithmetic keeps it exact; the maximum is unique even when several
+    matchings reach it.
+    """
+    negated = [[-int(x) for x in line] for line in np.asarray(weights).tolist()]
+    k_a, k_b = len(negated), len(negated[0])
+    k = max(k_a, k_b)
+    cost = [line + [0] * (k - k_b) for line in negated] + [[0] * k for _ in range(k - k_a)]
+    # 1-based: column 0 is a virtual start; owner[j] is the row matched to
+    # column j (0 while free), via[j] the column before j on the best path
+    u, v = [0] * (k + 1), [0] * (k + 1)
+    owner, via = [0] * (k + 1), [0] * (k + 1)
+    for i in range(1, k + 1):
+        owner[0] = i
+        col = 0
+        slack = [math.inf] * (k + 1)
+        used = [False] * (k + 1)
+        while owner[col]:
+            used[col] = True
+            row = owner[col]
+            delta, nxt = math.inf, 0
+            for j in range(1, k + 1):
+                if used[j]:
+                    continue
+                reduced = cost[row - 1][j - 1] - u[row] - v[j]
+                if reduced < slack[j]:
+                    slack[j], via[j] = reduced, col
+                if slack[j] < delta:
+                    delta, nxt = slack[j], j
+            for j in range(k + 1):
+                if used[j]:
+                    u[owner[j]] += delta
+                    v[j] -= delta
+                else:
+                    slack[j] -= delta
+            col = nxt
+        while col:
+            prev = via[col]
+            owner[col] = owner[prev]
+            col = prev
+    # the padding weighs 0, so it adds nothing to the sum
+    return -sum(cost[owner[j] - 1][j - 1] for j in range(1, k + 1))
+
+
 def label_agreement(labels_a, labels_b) -> float:
     """Fraction of points agreeing after maximum-overlap label matching.
 
     Builds the confusion matrix of the two label sequences and matches
-    states by Hungarian assignment, so arbitrary per-run label identities
-    do not matter. Sequences may use different state counts.
+    states by Hungarian assignment (_matched_sum), so arbitrary per-run
+    label identities do not matter. Sequences may use different state
+    counts.
     """
     a = np.asarray(labels_a, dtype=int)
     b = np.asarray(labels_b, dtype=int)
@@ -137,5 +190,4 @@ def label_agreement(labels_a, labels_b) -> float:
     k_b = int(b.max()) + 1
     confusion = np.zeros((k_a, k_b), dtype=int)
     np.add.at(confusion, (a, b), 1)
-    rows, cols = linear_sum_assignment(-confusion)
-    return float(confusion[rows, cols].sum() / a.shape[0])
+    return _matched_sum(confusion) / a.shape[0]

@@ -26,6 +26,8 @@ import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
+import numpy as np
+
 from .analysis import label_agreement, likelihood_ratio, suggest_ratio_states
 from .errors import ConfigError, DataError, EstimationError, FitError
 from .ingest import ReturnsPanel, load_price_panel, standardize_returns, to_log_returns
@@ -95,21 +97,22 @@ def _write_csv(path: Path, header: str, dates, cells) -> None:
 def _models_payload(models, assets) -> dict:
     states = []
     for model in models:
-        matrix = model.precision.matrix.tocoo()
-        edges = sorted(
-            (int(i), int(j), float(v))
-            for i, j, v in zip(matrix.row, matrix.col, matrix.data)
-            if i < j
-        )
-        diagonal = model.precision.matrix.diagonal()
+        # the upper-triangle entries come sorted by (i, j), so the edges
+        # need no sort
+        precision = model.precision
+        i, j = precision.indices()
+        off = i != j
+        diagonal = np.zeros(precision.n)
+        diagonal[i[~off]] = precision.sums[~off]
+        edges = zip(i[off].tolist(), j[off].tolist(), precision.sums[off].tolist())
         states.append(
             {
                 "label": int(model.label),
                 "mu": [float(v) for v in model.mu],
-                "log_det": float(model.precision.log_det),
+                "log_det": float(precision.log_det),
                 "occupancy": int(model.member_count),
-                "diagonal": [float(v) for v in diagonal],
-                "edges": [[i, j, v] for i, j, v in edges],
+                "diagonal": diagonal.tolist(),
+                "edges": [list(edge) for edge in edges],
             }
         )
     return {"assets": list(assets), "states": states}

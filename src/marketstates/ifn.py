@@ -19,13 +19,17 @@ separator blocks each form one stack that one numpy call conditions,
 factorizes or inverts. Only the sums over blocks keep a fixed order (see
 logo_precision and logdet_precision), so results equal those of a
 block-by-block loop bit for bit.
+
+Everything here runs on numpy alone. A SparsePrecision holds J as its
+sorted upper-triangle entries; scipy is imported only when a caller asks
+for the CSR form through SparsePrecision.matrix.
 """
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import SingularSubmatrixError
 
@@ -55,31 +59,73 @@ class TmfgGraph:
 class SparsePrecision:
     """A symmetric precision matrix with support on a TMFG plus diagonal.
 
-    matrix is the full symmetric CSR matrix (mirrored entries share one
-    accumulated value, so J[i, j] == J[j, i] exactly); log_det caches
-    log |J| computed from the clique/separator decomposition.
+    upper holds the keys i * n + j (i <= j) of the stored entries in
+    increasing order, so row-major over the upper triangle, and sums the
+    value of each; mirrored entries share that one value, so J[i, j] ==
+    J[j, i] exactly. log_det caches log |J| computed from the
+    clique/separator decomposition.
     """
 
     n: int
-    matrix: sp.csr_matrix
+    upper: np.ndarray
+    sums: np.ndarray
     log_det: float
+
+    def indices(self) -> tuple:
+        """Row and column index arrays of the upper-triangle entries."""
+        return np.divmod(self.upper, self.n)
+
+    def dense(self) -> np.ndarray:
+        """J as a dense n x n array."""
+        i, j = self.indices()
+        out = np.zeros((self.n, self.n))
+        out[i, j] = self.sums
+        out[j, i] = self.sums
+        return out
+
+    @cached_property
+    def matrix(self):
+        """J as a full symmetric scipy CSR matrix, built on first access."""
+        import scipy.sparse as sp
+
+        i, j = self.indices()
+        off = i != j
+        rows = np.concatenate([i, j[off]])
+        cols = np.concatenate([j, i[off]])
+        data = np.concatenate([self.sums, self.sums[off]])
+        return sp.csr_matrix((data, (rows, cols)), shape=(self.n, self.n))
+
+
+# elements per temporary of the row-block symmetry check
+_BLOCK_ELEMENTS = 8192
 
 
 def _validate_similarity(similarity) -> np.ndarray:
+    """A float copy of similarity with a zero diagonal, once it is valid.
+
+    The copy is the only n x n float array made: finiteness is checked
+    with one boolean mask, and the largest |w[i, j] - w[j, i]| over the
+    upper triangle is taken block by block of rows. Every entry must be
+    finite before any difference is taken, since a NaN difference
+    compares False against the bound.
+    """
     w = np.array(similarity, dtype=float, copy=True)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise ValueError(f"similarity must be square, got shape {w.shape}")
     n = w.shape[0]
     if n < 4:
         raise ValueError(f"need at least 4 vertices to build a TMFG, got {n}")
-    off_diag = ~np.eye(n, dtype=bool)
-    if not np.all(np.isfinite(w[off_diag])):
-        raise ValueError("similarity matrix has NaN or infinite off-diagonal entries")
-    asym = np.abs(w - w.T)
-    np.fill_diagonal(asym, 0.0)
-    if asym.max() > 1e-9:
-        raise ValueError(f"similarity matrix is not symmetric (max |w - w.T| = {asym.max():.3e})")
     np.fill_diagonal(w, 0.0)
+    if not np.isfinite(w).all():
+        raise ValueError("similarity matrix has NaN or infinite off-diagonal entries")
+    asym = 0.0
+    step = max(1, _BLOCK_ELEMENTS // n)
+    for start in range(0, n, step):
+        stop = min(start + step, n)
+        diff = w[start:stop, start:] - w[start:, start:stop].T
+        asym = max(asym, float(np.abs(diff, out=diff).max()))
+    if asym > 1e-9:
+        raise ValueError(f"similarity matrix is not symmetric (max |w - w.T| = {asym:.3e})")
     return w
 
 
@@ -234,8 +280,9 @@ def logo_precision(covariance, graph: TmfgGraph) -> SparsePrecision:
     inverses symmetrized. Their upper-triangle entries are scattered with
     np.add.at, which adds in index order: every entry of J starts at 0.0
     and sums clique contributions in graph order, then separator ones.
-    The stored matrix mirrors each off-diagonal sum, so J is exactly
-    symmetric. log_det comes from logdet_precision.
+    Each off-diagonal sum is stored once and stands for both mirrored
+    entries, so J is exactly symmetric. log_det comes from
+    logdet_precision.
     """
     cov = _check_covariance(covariance, graph)
     n = graph.n
@@ -252,9 +299,4 @@ def logo_precision(covariance, graph: TmfgGraph) -> SparsePrecision:
     upper, position = np.unique(np.concatenate(keys), return_inverse=True)
     sums = np.zeros(upper.size)
     np.add.at(sums, position, np.concatenate(values))
-    i, j = np.divmod(upper, n)
-    off = i != j
-    rows = np.concatenate([i, j[off]])
-    cols = np.concatenate([j, i[off]])
-    matrix = sp.csr_matrix((np.concatenate([sums, sums[off]]), (rows, cols)), shape=(n, n))
-    return SparsePrecision(n=n, matrix=matrix, log_det=logdet_precision(cov, graph))
+    return SparsePrecision(n=n, upper=upper, sums=sums, log_det=logdet_precision(cov, graph))

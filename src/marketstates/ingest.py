@@ -2,12 +2,13 @@
 
 Input files are UTF-8, comma-separated, with a header row. The first
 column is the date column (named "date", case-insensitive), holding
-ISO-8601 dates; every other column is one asset's price series. Prices
-must be strictly positive and finite; missing values are a data error,
-never imputed.
+ISO-8601 calendar dates (YYYY-MM-DD); every other column is one asset's
+price series. Prices must be strictly positive and finite; missing values
+are a data error, never imputed.
 """
 
 import csv
+import datetime
 import math
 import re
 from dataclasses import dataclass
@@ -130,6 +131,14 @@ def _read_rows(reader, path) -> tuple:
             raise DataError(
                 f"line {line_no}: date {date_cell!r} is not ISO-8601 (YYYY-MM-DD)"
             )
+        # the pattern alone admits 2020-13-45; fromisoformat alone would
+        # admit 20200102 and 2020-W01-1 from Python 3.11 on
+        try:
+            datetime.date.fromisoformat(date_cell)
+        except ValueError:
+            raise DataError(
+                f"line {line_no}: date {date_cell!r} is not a calendar date"
+            ) from None
         # fast path for a row of positive finite prices (float() strips
         # whitespace itself); any other row is parsed cell by cell, which
         # names the first bad cell's line and column
@@ -151,8 +160,9 @@ def load_price_panel(path) -> PricePanel:
     """Read a CSV price file into a validated, date-sorted PricePanel.
 
     Raises DataError on a missing file, malformed header, unparseable or
-    non-positive cell (reported by line and column), duplicate dates, or
-    a panel smaller than 2 rows and 4 assets.
+    non-positive cell (reported by line and column), a date that is not
+    YYYY-MM-DD or not on the calendar, duplicate dates, or a panel
+    smaller than 2 rows and 4 assets.
     """
     try:
         fh = open(path, "r", encoding="utf-8", newline="")

@@ -8,6 +8,9 @@ differ. Because the penalty only couples neighboring time points, the
 optimal assignment given fixed states is found exactly by dynamic
 programming; fitting alternates that assignment step with per-state
 re-estimation until the labels stop changing.
+
+Scoring multiplies by each J as a dense array built from the precision's
+upper-triangle entries, so fitting imports numpy only.
 """
 
 from dataclasses import dataclass, replace
@@ -63,8 +66,8 @@ class ClusteringConfig:
             )
         if not _is_int(self.max_iterations) or self.max_iterations < 1:
             raise ConfigError(f"max_iterations must be a positive integer, got {self.max_iterations}")
-        if not _is_int(self.seed):
-            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
+        if not _is_int(self.seed) or self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.min_cluster_size is not None and (
             not _is_int(self.min_cluster_size) or self.min_cluster_size < 5
         ):
@@ -149,7 +152,9 @@ def score_states(returns: ReturnsPanel, models, mode: str = "likelihood") -> Sco
     """Score every (time point, state) pair, penalty excluded.
 
     likelihood mode: -0.5 d' J d + 0.5 log |J| with d = x_t - mu_k;
-    mahalanobis mode drops the log-determinant term.
+    mahalanobis mode drops the log-determinant term. Each J is scattered
+    into a dense n x n array for the product d @ J, one code path for
+    every n.
     """
     if mode not in SCORING_MODES:
         raise ConfigError(f"scoring mode must be one of {SCORING_MODES}, got {mode!r}")
@@ -163,7 +168,7 @@ def score_states(returns: ReturnsPanel, models, mode: str = "likelihood") -> Sco
         if mu.shape != (n,) or model.precision.n != n:
             raise ValueError(f"state {k} dimension does not match panel width {n}")
         d = x - mu
-        quad = np.einsum("ti,ti->t", d, (model.precision.matrix @ d.T).T)
+        quad = np.einsum("ti,ti->t", d, d @ model.precision.dense())
         values[:, k] = -0.5 * quad
         if mode == "likelihood":
             values[:, k] += 0.5 * model.precision.log_det

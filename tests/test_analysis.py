@@ -2,9 +2,11 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 import panels
 from marketstates.analysis import (
+    _matched_sum,
     label_agreement,
     likelihood_ratio,
     suggest_ratio_states,
@@ -173,6 +175,25 @@ def test_label_agreement_matches_brute_force(rng):
             for perm in itertools.permutations(range(k))
         )
         assert label_agreement(a, b) == pytest.approx(brute)
+
+
+def _oracle_matched_sum(weights):
+    rows, cols = linear_sum_assignment(weights, maximize=True)
+    return int(weights[rows, cols].sum())
+
+
+def test_matched_sum_matches_linear_sum_assignment(rng):
+    cases = []
+    for k_a, k_b in itertools.product(range(1, 10), repeat=2):
+        for high in (2, 5, 1000):
+            cases.append(rng.integers(0, high, size=(k_a, k_b)))
+        cases.append(np.full((k_a, k_b), 7))
+        dup = rng.integers(0, 50, size=(k_a, k_b))
+        dup[k_a // 2 :] = dup[0]  # every row from the middle on repeats row 0
+        cases.append(dup)
+        cases.append(dup.T.copy())
+    for weights in cases:
+        assert _matched_sum(weights) == _oracle_matched_sum(weights), weights
 
 
 def test_label_agreement_known_value():

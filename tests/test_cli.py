@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ import pytest
 import panels
 from marketstates import cli, segment
 from marketstates.cli import main
+from marketstates.ifn import build_tmfg, logo_precision
 
 
 @pytest.fixture(scope="module")
@@ -120,6 +123,7 @@ def test_exit_code_on_bad_config(price_csv, tmp_path, capsys):
         ["--clusters", 3, "--ratio", "0,7"],
         ["--min-cluster-size", 400],
         ["--sweep-gamma", "nan"],
+        ["--seed", -1],
     ):
         assert _run(base + extra) == 1, extra
         _one_stderr_line(capsys)
@@ -154,6 +158,11 @@ def test_exit_code_on_malformed_csv(tmp_path, capsys):
         bad.write_bytes(body)
         assert _run(["--input", bad, "--output", tmp_path / "x"]) == 2
         assert "not a readable UTF-8 CSV file" in _one_stderr_line(capsys)
+    # dates that match YYYY-MM-DD but are not on the calendar
+    for date in ("2020-13-45", "2021-02-29"):
+        bad.write_text(f"date,A,B,C,D\n2020-01-01,1,1,1,1\n{date},2,2,2,2\n")
+        assert _run(["--input", bad, "--output", tmp_path / "x"]) == 2
+        assert f"line 3: date '{date}' is not a calendar date" in _one_stderr_line(capsys)
 
 
 def test_exit_code_on_fit_failure(tmp_path, capsys):
@@ -342,3 +351,80 @@ def test_sweep_propagates_cell_failure(price_csv, tmp_path):
 def test_missing_required_flags(capsys):
     assert main([]) == 1
     _one_stderr_line(capsys)
+
+
+_NO_SCIPY_SCRIPT = """
+import json, sys
+import marketstates.cli as cli
+
+def loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+after_import = loaded()
+data, out = sys.argv[1], sys.argv[2]
+codes = [
+    cli.main(["--input", data, "--output", out + "/sweep", "--sweep-k", "2,3",
+              "--sweep-gamma", "10", "--max-iter", "2", "--ratio", "auto"]),
+    cli.main(["--input", data, "--output", out + "/fit", "--clusters", "3",
+              "--max-iter", "2", "--ratio", "0,1", "--mode", "mahalanobis"]),
+]
+print(json.dumps({"import": after_import, "main": loaded(), "codes": codes}))
+"""
+
+
+def test_cli_never_imports_scipy(price_csv, tmp_path):
+    # pytest's own process has scipy loaded already, so a fresh one runs it
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_SCRIPT, str(price_csv), str(tmp_path)],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result == {"import": [], "main": [], "codes": [0, 0]}, result
+
+
+def _csr_models_payload(models, assets):
+    """models.json content as built from each precision's scipy CSR form."""
+    states = []
+    for model in models:
+        matrix = model.precision.matrix.tocoo()
+        edges = sorted(
+            (int(i), int(j), float(v))
+            for i, j, v in zip(matrix.row, matrix.col, matrix.data)
+            if i < j
+        )
+        states.append(
+            {
+                "label": int(model.label),
+                "mu": [float(v) for v in model.mu],
+                "log_det": float(model.precision.log_det),
+                "occupancy": int(model.member_count),
+                "diagonal": [float(v) for v in model.precision.matrix.diagonal()],
+                "edges": [[i, j, v] for i, j, v in edges],
+            }
+        )
+    return {"assets": list(assets), "states": states}
+
+
+def test_models_json_matches_the_csr_payload(tmp_path):
+    rng = np.random.default_rng(5)
+    for n in range(4, 61):
+        models = []
+        # the identity covariance gives exact 0.0 edges, which stay listed
+        for k, cov in enumerate((panels.random_spd(rng, n), np.eye(n))):
+            graph = build_tmfg(panels.random_similarity(rng, n))
+            models.append(
+                segment.ClusterModel(
+                    label=k, mu=rng.normal(size=n), precision=logo_precision(cov, graph),
+                    graph=graph, member_count=k + n,
+                )
+            )
+        assert 0.0 in models[1].precision.sums
+        assets = [f"A{i}" for i in range(n)]
+        cli._write_json(tmp_path / "models.json", cli._models_payload(models, assets))
+        with open(tmp_path / "old.json", "w", encoding="utf-8") as fh:
+            json.dump(_csr_models_payload(models, assets), fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        assert (tmp_path / "models.json").read_bytes() == (tmp_path / "old.json").read_bytes(), n

@@ -5,6 +5,7 @@ planarity; the package itself never imports it.
 """
 
 import itertools
+import tracemalloc
 
 import networkx as nx
 import numpy as np
@@ -513,3 +514,56 @@ def test_validation_rejects_bad_similarity(rng):
     w[0, 1] += 1.0  # asymmetric
     with pytest.raises(ValueError):
         build_tmfg(w)
+
+
+def test_validation_rejects_nan_in_lower_triangle_only(rng):
+    # |NaN - x| > bound is False, so the symmetry check alone would let
+    # a NaN below the diagonal through
+    w = panels.random_similarity(rng, 6)
+    w[4, 1] = np.nan
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        build_tmfg(w)
+    w = panels.random_similarity(rng, 6)
+    w[5, 2] = -np.inf
+    with pytest.raises(ValueError, match="NaN or infinite"):
+        build_tmfg(w)
+    # the diagonal is ignored, whatever it holds
+    w = panels.random_similarity(rng, 6)
+    w[3, 3] = np.nan
+    assert np.array_equal(np.diag(_validate_similarity(w)), np.zeros(6))
+
+
+def test_validation_reports_the_largest_asymmetry(rng):
+    for n in (6, 40, 250):
+        w = panels.random_similarity(rng, n)
+        w[n - 1, 2] += 3e-7
+        w[1, n - 2] -= 5e-6
+        expected = np.abs(w - w.T).max()
+        with pytest.raises(ValueError, match=f"= {expected:.3e}\\)"):
+            build_tmfg(w)
+    w = panels.random_similarity(rng, 30)
+    w[7, 19] += 5e-10  # within the bound
+    assert np.array_equal(_validate_similarity(w), np.where(np.eye(30, dtype=bool), 0.0, w))
+
+
+def test_validation_makes_one_float_copy(rng):
+    n = 250
+    w = panels.random_similarity(rng, n)
+    tracemalloc.start()
+    try:
+        out = _validate_similarity(w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (n, n)
+    assert peak < 2 * n * n * 8, peak
+
+
+def test_precision_arrays_match_csr(rng):
+    # the lazy CSR and the dense scatter both come from upper and sums
+    for n in (4, 5, 17, 40):
+        sp = logo_precision(panels.random_spd(rng, n), build_tmfg(panels.random_similarity(rng, n)))
+        i, j = sp.indices()
+        assert np.all(i <= j) and np.all(np.diff(sp.upper) > 0)
+        assert np.array_equal(sp.dense(), sp.matrix.toarray())
+        assert sp.matrix is sp.matrix  # built once

@@ -138,6 +138,12 @@ def test_standardize_rejects_constant_column():
         ("date,A,B,C,D\n2020-01-01,1,1,1,1\n", "data rows"),
         ("date,A,A,C,D\n2020-01-01,1,1,1,1\n2020-01-02,2,2,2,2\n", "duplicate asset"),
         ("date,A,B,C,D\n2020-1-01,1,1,1,1\n2020-01-02,2,2,2,2\n", "ISO-8601"),
+        # the pattern passes these; the calendar does not
+        ("date,A,B,C,D\n2020-13-45,1,1,1,1\n2020-01-02,2,2,2,2\n",
+         "line 2: date '2020-13-45' is not a calendar date"),
+        ("date,A,B,C,D\n2021-02-28,1,1,1,1\n2021-02-29,2,2,2,2\n",
+         "line 3: date '2021-02-29' is not a calendar date"),
+        ("date,A,B,C,D\n20200101,1,1,1,1\n2020-01-02,2,2,2,2\n", "ISO-8601"),
         ("date,A,B,C,D\n2020-01-01,1,1,1\n2020-01-02,2,2,2,2\n", "cells"),
         ("", "empty"),
     ],
@@ -185,3 +191,8 @@ def test_panel_validation_rejects_nonfinite_returns():
         ReturnsPanel(
             dates=("2020-01-01", "2020-01-02"), assets=("a", "b", "c", "d"), values=values
         )
+
+
+def test_leap_day_is_a_calendar_date(tmp_path):
+    body = "date,A,B,C,D\n2020-02-28,1,1,1,1\n2020-02-29,2,2,2,2\n2020-03-01,3,3,3,3\n"
+    assert load_price_panel(_write(tmp_path, body)).dates[1] == "2020-02-29"

@@ -124,6 +124,15 @@ def test_config_rejects_bool_for_integer_fields(name):
         ClusteringConfig(**{name: True}).validate()
 
 
+def test_config_rejects_negative_seed(three_regime):
+    # numpy's generator would reject it later with a bare ValueError
+    with pytest.raises(ConfigError, match="seed must be a non-negative integer"):
+        ClusteringConfig(seed=-1).validate()
+    panel, _ = three_regime
+    with pytest.raises(ConfigError, match="seed"):
+        fit(panel, ClusteringConfig(n_clusters=3, seed=-1, restarts=1))
+
+
 # --- scoring
 
 
@@ -156,6 +165,19 @@ def test_score_matches_dense_formula(rng):
     for k, model in enumerate(models):
         shift = 0.5 * model.precision.log_det
         assert np.allclose(scores.values[:, k] - mah.values[:, k], shift, atol=1e-12)
+
+
+def test_dense_scores_match_csr_product(rng):
+    # scoring multiplies by a dense J; the CSR product sums each row in
+    # another order, so the two agree to rounding only
+    for t_len, n in ((50, 4), (40, 12), (30, 60)):
+        panel = _panel(rng.normal(size=(t_len, n)))
+        models = [_model(rng, n, label=k) for k in range(3)]
+        scores = score_states(panel, models, "mahalanobis")
+        for k, model in enumerate(models):
+            d = panel.values - model.mu
+            quad = np.einsum("ti,ti->t", d, (model.precision.matrix @ d.T).T)
+            assert np.allclose(scores.values[:, k], -0.5 * quad, rtol=1e-12, atol=0.0)
 
 
 def test_identical_models_identical_columns(rng):
