@@ -7,11 +7,9 @@ and segments the return series with an exact switching-penalty solver.
 
 from .analysis import (
     RatioSeries,
-    StateSummary,
     label_agreement,
     likelihood_ratio,
     suggest_ratio_states,
-    summarize,
 )
 from .errors import (
     ConfigError,
@@ -65,7 +63,6 @@ __all__ = [
     "SingularSubmatrixError",
     "SparsePrecision",
     "StatePath",
-    "StateSummary",
     "TmfgGraph",
     "build_tmfg",
     "estimate_cluster",
@@ -79,7 +76,6 @@ __all__ = [
     "solve_path",
     "standardize_returns",
     "suggest_ratio_states",
-    "summarize",
     "to_log_returns",
     "__version__",
 ]

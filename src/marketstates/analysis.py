@@ -3,14 +3,13 @@
 likelihood_ratio compares two fitted states pointwise: the per-date
 difference of their likelihood-mode scores, positive when the first
 state explains that date better. The switching penalty is a property of
-paths, not of single dates, so it never enters the ratio. summarize
-tallies occupancy, switching, and per-state equal-weight return stats
-from a label path. label_agreement matches the states of two label paths
-with an exact Hungarian method on their integer confusion counts (Kuhn,
-Naval Res. Logistics Quarterly 1955), in plain Python.
+paths, not of single dates, so it never enters the ratio.
+suggest_ratio_states ranks occupied states by mean equal-weight return.
+label_agreement matches the states of two label paths with an exact
+Hungarian method on their integer confusion counts (Kuhn, Naval Res.
+Logistics Quarterly 1955), in plain Python.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -28,28 +27,6 @@ class RatioSeries:
     values: np.ndarray
     state_a: int
     state_b: int
-
-
-@dataclass
-class StateSummary:
-    """Occupancy, switching, and equal-weight return stats per state."""
-
-    counts: dict
-    fractions: dict
-    switches: int
-    mean_run_length: dict
-    mean_return: dict
-    volatility: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "counts": {str(k): int(v) for k, v in self.counts.items()},
-            "fractions": {str(k): float(v) for k, v in self.fractions.items()},
-            "switches": int(self.switches),
-            "mean_run_length": {str(k): float(v) for k, v in self.mean_run_length.items()},
-            "mean_return": {str(k): float(v) for k, v in self.mean_return.items()},
-            "volatility": {str(k): float(v) for k, v in self.volatility.items()},
-        }
 
 
 def likelihood_ratio(
@@ -75,51 +52,21 @@ def likelihood_ratio(
     )
 
 
-def summarize(path: StatePath, returns: ReturnsPanel) -> StateSummary:
-    """Tally a label path against its panel."""
-    labels = np.asarray(path.labels)
-    t_len = labels.shape[0]
-    if t_len != len(returns.dates):
-        raise ValueError(
-            f"path length {t_len} does not match panel length {len(returns.dates)}"
-        )
-    # not np.unique: its first call imports numpy.ma (about 10 ms)
-    states = sorted({int(s) for s in labels.tolist()})
-    counts = {s: int(np.count_nonzero(labels == s)) for s in states}
-    fractions = {s: counts[s] / t_len for s in states}
-    switches = int(np.count_nonzero(np.diff(labels)))
-
-    run_lengths: dict = {s: [] for s in states}
-    for state, group in itertools.groupby(labels):
-        run_lengths[int(state)].append(len(list(group)))
-    mean_run_length = {s: float(np.mean(r)) for s, r in run_lengths.items()}
-
-    equal_weight = returns.values.mean(axis=1)
-    mean_return = {}
-    volatility = {}
-    for s in states:
-        member = equal_weight[labels == s]
-        mean_return[s] = float(member.mean())
-        volatility[s] = float(member.std(ddof=1)) if member.size > 1 else 0.0
-
-    return StateSummary(
-        counts=counts,
-        fractions=fractions,
-        switches=switches,
-        mean_run_length=mean_run_length,
-        mean_return=mean_return,
-        volatility=volatility,
-    )
-
-
 def suggest_ratio_states(path: StatePath, returns: ReturnsPanel) -> tuple:
     """Pick (crisis, bull) as the states of lowest/highest mean equal-weight return."""
-    summary = summarize(path, returns)
-    states = sorted(summary.mean_return)
+    labels = np.asarray(path.labels)
+    if labels.shape[0] != len(returns.dates):
+        raise ValueError(
+            f"path length {labels.shape[0]} does not match panel length {len(returns.dates)}"
+        )
+    equal_weight = returns.values.mean(axis=1)
+    # not np.unique: its first call imports numpy.ma (about 10 ms)
+    states = sorted({int(s) for s in labels.tolist()})
     if len(states) < 2:
         raise ValueError("need at least two occupied states to compare")
-    crisis = min(states, key=lambda s: (summary.mean_return[s], s))
-    bull = max(states, key=lambda s: (summary.mean_return[s], -s))
+    mean_return = {s: float(equal_weight[labels == s].mean()) for s in states}
+    crisis = min(states, key=lambda s: (mean_return[s], s))
+    bull = max(states, key=lambda s: (mean_return[s], -s))
     return crisis, bull
 
 

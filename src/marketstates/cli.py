@@ -9,10 +9,11 @@ A run writes four files into the output directory:
   ratio.csv    date,value likelihood-ratio series (when --ratio is given)
 
 main validates the whole configuration, sweep cells included, creates the
-output directory and loads the panel once; run_fit and run_sweep work on
-the returns in memory. A sweep writes each cell's files into its own
-subdirectory plus sweep.json; if the input fails to load, no cell runs and
-the failure report.json goes into the output directory.
+output directory and loads the panel once, z-scored if --standardize is
+set; run_fit and run_sweep work on that panel in memory. A sweep writes
+each cell's files into its own subdirectory plus sweep.json; if the input
+fails to load or standardize, no cell runs and the failure report.json
+goes into the output directory.
 
 Exit codes: 0 success, 1 configuration or output error, 2 data error,
 3 fit failure, each with a one-line diagnostic on stderr. _EXIT_CODES is
@@ -57,6 +58,7 @@ class RunConfig:
     output_dir: str
     clustering: ClusteringConfig = field(default_factory=ClusteringConfig)
     ratio: str | None = None  # "auto" or "A,B"
+    standardize: bool = False  # z-score the returns once, as loaded
 
     def validate(self) -> None:
         if not self.input_path:
@@ -127,7 +129,7 @@ def _config_payload(config: RunConfig) -> dict:
         "gamma": float(c.gamma),
         "mode": c.scoring_mode,
         "similarity": c.similarity_mode,
-        "standardize": c.standardize,
+        "standardize": config.standardize,
         "max_iterations": c.max_iterations,
         "seed": c.seed,
         "min_cluster_size": c.min_cluster_size,
@@ -135,14 +137,13 @@ def _config_payload(config: RunConfig) -> dict:
     }
 
 
-def _fail(exc: Exception, config: RunConfig | None, report_dir: Path | None) -> int:
-    """Return exc's exit code from _EXIT_CODES, after its one-line diagnostic.
+def _report_failure(exc: Exception, config: RunConfig | None, report_dir: Path | None):
+    """Return exc's (exit code, kind) from _EXIT_CODES.
 
     A failure report.json goes into report_dir when one is given, on a best
     effort basis: a directory that cannot take it leaves the code unchanged.
     """
     code, kind = next((c, k) for types, c, k in _EXIT_CODES if isinstance(exc, types))
-    print(f"marketstates: {kind} error: {exc}", file=sys.stderr)
     if report_dir is not None:
         try:
             _write_json(
@@ -156,12 +157,13 @@ def _fail(exc: Exception, config: RunConfig | None, report_dir: Path | None) -> 
             )
         except OSError:
             pass
-    return code
+    return code, kind
 
 
 def run_fit(config: RunConfig, returns: ReturnsPanel, *, memo=None) -> StatePath:
     """Fit one configuration to loaded returns and write its output files.
 
+    returns are fitted and scored as given (main standardizes them once).
     memo is fit's memo of starting states, valid for these returns only.
     Returns the fitted path; every failure raises for the caller to map.
     """
@@ -169,18 +171,15 @@ def run_fit(config: RunConfig, returns: ReturnsPanel, *, memo=None) -> StatePath
     out_dir.mkdir(parents=True, exist_ok=True)
     models, path, report = fit(returns, config.clustering, memo=memo)
 
-    scored_returns = (
-        standardize_returns(returns) if config.clustering.standardize else returns
-    )
     ratio_pair = _parse_ratio(config.ratio, config.clustering.n_clusters)
     series = None
     if ratio_pair == "auto":
         try:
-            ratio_pair = suggest_ratio_states(path, scored_returns)
+            ratio_pair = suggest_ratio_states(path, returns)
         except ValueError as exc:
             raise FitError(str(exc)) from exc
     if ratio_pair is not None:
-        series = likelihood_ratio(scored_returns, models, ratio_pair[0], ratio_pair[1])
+        series = likelihood_ratio(returns, models, ratio_pair[0], ratio_pair[1])
 
     _write_csv(out_dir / "states.csv", "date,label", returns.dates, map(int, path.labels))
     if series is not None:
@@ -189,7 +188,7 @@ def run_fit(config: RunConfig, returns: ReturnsPanel, *, memo=None) -> StatePath
     _write_json(out_dir / "models.json", _models_payload(models, returns.assets))
 
     payload = {"status": "ok", "config": _config_payload(config)}
-    payload.update(report.to_dict())
+    payload.update(report.to_dict(), standardized=config.standardize)
     if series is not None:
         payload["ratio_states"] = [int(series.state_a), int(series.state_b)]
     _write_json(out_dir / "report.json", payload)
@@ -223,13 +222,14 @@ def run_sweep(config: RunConfig, returns: ReturnsPanel, cells) -> int:
 
     Each cell writes the standard outputs into its own subdirectory;
     sweep.json holds the pairwise matched-label agreement matrix. Returns
-    0 only if every cell succeeded, else the first failing cell's code.
-    Cells of equal K share one memo of starting states, so the states
-    they all start from are estimated once.
+    0 only if every cell succeeded, else the first failing cell's code,
+    after one stderr line naming that cell. Cells of equal K share one
+    memo of starting states, so the states they all start from are
+    estimated once.
     """
     summary = []
     labels = []
-    first_failure = EXIT_OK
+    failures = []  # (exit code, diagnostic) per failed cell
     memo, memo_k = {}, None
     for name, cell in cells:
         if cell.clustering.n_clusters != memo_k:
@@ -240,8 +240,8 @@ def run_sweep(config: RunConfig, returns: ReturnsPanel, cells) -> int:
             code = EXIT_OK
         except _HANDLED as exc:
             labels.append(None)
-            code = _fail(exc, cell, Path(cell.output_dir))
-            first_failure = first_failure or code
+            code, kind = _report_failure(exc, cell, Path(cell.output_dir))
+            failures.append((code, f"marketstates: {kind} error: sweep cell {name}: {exc}"))
         k, gamma = cell.clustering.n_clusters, cell.clustering.gamma
         summary.append({"clusters": k, "gamma": gamma, "dir": name, "exit_code": code})
 
@@ -253,7 +253,11 @@ def run_sweep(config: RunConfig, returns: ReturnsPanel, cells) -> int:
     _write_json(
         Path(config.output_dir) / "sweep.json", {"cells": summary, "agreement": agreement}
     )
-    return first_failure
+    if not failures:
+        return EXIT_OK
+    code, diagnostic = failures[0]
+    print(f"{diagnostic} ({len(failures)} of {len(cells)} cells failed)", file=sys.stderr)
+    return code
 
 
 class _Parser(argparse.ArgumentParser):
@@ -321,13 +325,13 @@ def main(argv=None) -> int:
             max_iterations=args.max_iter,
             seed=args.seed,
             min_cluster_size=args.min_cluster_size,
-            standardize=args.standardize,
         )
         config = RunConfig(
             input_path=args.input,
             output_dir=args.output,
             clustering=clustering,
             ratio=args.ratio,
+            standardize=args.standardize,
         )
         config.validate()
         cells = None
@@ -341,12 +345,16 @@ def main(argv=None) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         report_dir = out_dir
         returns = to_log_returns(load_price_panel(config.input_path))
+        if config.standardize:
+            returns = standardize_returns(returns)
         if cells is not None:
             return run_sweep(config, returns, cells)
         run_fit(config, returns)
         return EXIT_OK
     except _HANDLED as exc:
-        return _fail(exc, config, report_dir)
+        code, kind = _report_failure(exc, config, report_dir)
+        print(f"marketstates: {kind} error: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

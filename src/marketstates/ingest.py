@@ -1,10 +1,10 @@
 """CSV price panel ingestion and log-return conversion.
 
-Input files are UTF-8, comma-separated, with a header row. The first
-column is the date column (named "date", case-insensitive), holding
-ISO-8601 calendar dates (YYYY-MM-DD); every other column is one asset's
-price series. Prices must be strictly positive and finite; missing values
-are a data error, never imputed.
+Input files are UTF-8 (a byte-order mark is skipped), comma-separated,
+with a header row. The first column is the date column (named "date",
+case-insensitive), holding ISO-8601 calendar dates (YYYY-MM-DD); every
+other column is one named asset's price series. Prices must be strictly
+positive and finite; missing values are a data error, never imputed.
 """
 
 import csv
@@ -111,6 +111,8 @@ def _read_rows(reader, path) -> tuple:
             f"got {header[0]!r}" if header else f"{path}: empty header row"
         )
     assets = [h.strip() for h in header[1:]]
+    if "" in assets:
+        raise DataError(f"{path}: header column {assets.index('') + 2} has an empty asset name")
     if len(assets) < _MIN_ASSETS:
         raise DataError(
             f"{path}: need at least {_MIN_ASSETS} asset columns, got {len(assets)}"
@@ -165,7 +167,7 @@ def load_price_panel(path) -> PricePanel:
     smaller than 2 rows and 4 assets.
     """
     try:
-        fh = open(path, "r", encoding="utf-8", newline="")
+        fh = open(path, "r", encoding="utf-8-sig", newline="")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
 
@@ -194,6 +196,8 @@ def to_log_returns(panel: PricePanel) -> ReturnsPanel:
 
 def standardize_returns(panel: ReturnsPanel) -> ReturnsPanel:
     """Z-score each asset column (sample std, ddof=1) over the whole panel."""
+    if len(panel.dates) < 2:
+        raise DataError(f"need at least 2 return dates to standardize, got {len(panel.dates)}")
     mean = panel.values.mean(axis=0)
     std = panel.values.std(axis=0, ddof=1)
     flat = np.flatnonzero(~(std > 0.0))

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigError, EstimationError, FitError
 from .ifn import SparsePrecision, TmfgGraph, build_tmfg, logo_precision
-from .ingest import ReturnsPanel, standardize_returns
+from .ingest import ReturnsPanel
 
 SCORING_MODES = ("likelihood", "mahalanobis")
 SIMILARITY_MODES = ("signed", "absolute", "squared")
@@ -50,7 +50,6 @@ class ClusteringConfig:
     max_iterations: int = 50
     seed: int = 0
     min_cluster_size: int | None = None
-    standardize: bool = False
     restarts: int = 0
 
     def validate(self) -> None:
@@ -129,7 +128,6 @@ class FitReport:
     objective_decreased: bool
     repairs: int
     best_iteration: int
-    standardized: bool
     restarts_used: int = 0
 
     def to_dict(self) -> dict:
@@ -143,7 +141,6 @@ class FitReport:
             "objective_decreased": self.objective_decreased,
             "repairs": int(self.repairs),
             "best_iteration": int(self.best_iteration),
-            "standardized": self.standardized,
             "restarts_used": int(self.restarts_used),
         }
 
@@ -299,15 +296,15 @@ def _absorb_window(labels, realized_scores, state, length, blocked):
 def _estimate_all(panel, labels, config: ClusteringConfig, known: dict):
     """One model per state, reusing those whose member set known holds.
 
-    known maps (member-index bytes, similarity mode, standardize flag) to
-    a model and gains every state estimated here; EstimationError is not
-    kept. A member set can come back under another label, so the label is
-    set on the way out. Returns the models and their keys, in label order.
+    known maps (member-index bytes, similarity mode) to a model and gains
+    every state estimated here; EstimationError is not kept. A member set
+    can come back under another label, so the label is set on the way
+    out. Returns the models and their keys, in label order.
     """
     models, keys = [], []
     for k in range(config.n_clusters):
         idx = np.flatnonzero(labels == k)
-        key = (idx.tobytes(), config.similarity_mode, config.standardize)
+        key = (idx.tobytes(), config.similarity_mode)
         model = known.get(key)
         if model is None:
             try:
@@ -401,7 +398,6 @@ def _fit_once(panel: ReturnsPanel, config: ClusteringConfig, initial_labels, min
         objective_decreased=decreased,
         repairs=repairs,
         best_iteration=best_iteration,
-        standardized=config.standardize,
     )
     return models, path, report
 
@@ -413,22 +409,22 @@ def fit(returns: ReturnsPanel, config: ClusteringConfig, initial_labels=None, *,
     re-estimation (estimate_cluster) until the label sequence stops
     changing, the iteration budget runs out, or the objective drops after
     a graph re-selection; the best-objective iterate is returned either
-    way. Deterministic for a given (panel, config, seed).
+    way. Deterministic for a given (panel, config, seed). The panel is
+    fitted as given: to fit z-scores, pass standardize_returns(returns).
 
     A refit iteration reuses each state whose members did not change.
-    memo, if given, is a dict from (member-index bytes, similarity mode,
-    standardize flag) to the model of a starting state: each start (the
-    equal-block labels, then any restarts) reuses the states it holds
-    and adds those it estimates, so fits that start from the same labels,
-    such as the sweep cells that share K, estimate them once. Its keys
-    hold member indices, not data, so one memo is only valid for one
-    returns panel. Left as None, no start is kept.
+    memo, if given, is a dict from (member-index bytes, similarity mode)
+    to the model of a starting state: each start (the equal-block labels,
+    then any restarts) reuses the states it holds and adds those it
+    estimates, so fits that start from the same labels, such as the sweep
+    cells that share K, estimate them once. Its keys hold member indices,
+    not data, so one memo is only valid for one returns panel. Left as
+    None, no start is kept.
 
     Returns (models, path, report).
     """
     config.validate()
-    panel = standardize_returns(returns) if config.standardize else returns
-    t_len, n = panel.values.shape
+    t_len, n = returns.values.shape
     if n < 4:
         raise ConfigError(f"need at least 4 assets, got {n}")
     min_size = config.resolved_min_cluster_size(n)
@@ -455,7 +451,7 @@ def fit(returns: ReturnsPanel, config: ClusteringConfig, initial_labels=None, *,
 
     best_result = None
     for labels0 in inits:
-        models, path, report = _fit_once(panel, config, labels0, min_size, memo)
+        models, path, report = _fit_once(returns, config, labels0, min_size, memo)
         report = replace(report, restarts_used=len(inits) - 1)
         if best_result is None or path.objective > best_result[1].objective:
             best_result = (models, path, report)

@@ -10,7 +10,6 @@ from marketstates.analysis import (
     label_agreement,
     likelihood_ratio,
     suggest_ratio_states,
-    summarize,
 )
 from marketstates.ifn import build_tmfg, logo_precision
 from marketstates.ingest import ReturnsPanel
@@ -106,54 +105,19 @@ def test_suggest_ratio_states_needs_two_states(rng):
         suggest_ratio_states(_path([0] * 10), panel)
 
 
-def test_summarize_constant_labels(rng):
-    panel = _panel(rng.normal(size=(12, 4)))
-    summary = summarize(_path([2] * 12), panel)
-    assert summary.counts == {2: 12}
-    assert summary.fractions[2] == pytest.approx(1.0)
-    assert summary.switches == 0
-    assert summary.mean_run_length[2] == pytest.approx(12.0)
-
-
-def test_summarize_alternating_labels(rng):
-    panel = _panel(rng.normal(size=(10, 4)))
-    summary = summarize(_path([0, 1] * 5), panel)
-    assert summary.switches == 9
-    assert summary.counts == {0: 5, 1: 5}
-    assert summary.mean_run_length[0] == pytest.approx(1.0)
-    assert summary.mean_run_length[1] == pytest.approx(1.0)
-
-
-def test_summarize_moments_match_numpy(rng):
+def test_suggest_ratio_states_matches_numpy_means(rng):
     values = rng.normal(size=(60, 5))
     labels = rng.integers(0, 3, size=60)
     labels[:3] = [0, 1, 2]  # every state present
-    panel = _panel(values)
-    summary = summarize(_path(labels), panel)
-    for state in (0, 1, 2):
-        rows = values[labels == state]
-        pooled = rows.mean(axis=1)
-        assert summary.counts[state] == rows.shape[0]
-        assert summary.mean_return[state] == pytest.approx(pooled.mean())
-        if rows.shape[0] > 1:
-            assert summary.volatility[state] == pytest.approx(pooled.std(ddof=1))
-    total = sum(summary.counts.values())
-    assert total == 60
-    assert sum(summary.fractions.values()) == pytest.approx(1.0)
+    pooled = {s: values[labels == s].mean(axis=1).mean() for s in (0, 1, 2)}
+    expected = (min(pooled, key=pooled.get), max(pooled, key=pooled.get))
+    assert suggest_ratio_states(_path(labels), _panel(values)) == expected
 
 
-def test_summarize_singleton_state_has_zero_volatility(rng):
-    panel = _panel(rng.normal(size=(8, 4)))
-    summary = summarize(_path([0] * 7 + [1]), panel)
-    assert summary.volatility[1] == 0.0
-
-
-def test_summary_serializes(rng):
-    panel = _panel(rng.normal(size=(20, 4)))
-    summary = summarize(_path([0] * 10 + [1] * 10), panel)
-    payload = summary.to_dict()
-    assert payload["switches"] == 1
-    assert set(payload["counts"]) == {"0", "1"}
+def test_suggest_ratio_states_rejects_length_mismatch(rng):
+    panel = _panel(rng.normal(size=(10, 4)))
+    with pytest.raises(ValueError, match="path length 9"):
+        suggest_ratio_states(_path([0] * 5 + [1] * 4), panel)
 
 
 def test_label_agreement_permutation_invariant(rng):

@@ -1,11 +1,17 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import panels
 from marketstates import cli, segment
@@ -268,6 +274,53 @@ def test_sweep_loads_the_panel_once(price_csv, tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def test_sweep_standardizes_the_panel_once(price_csv, tmp_path, monkeypatch):
+    calls = []
+    standardize = cli.standardize_returns
+
+    def counting_standardize(returns):
+        calls.append(returns.values.shape)
+        return standardize(returns)
+
+    monkeypatch.setattr(cli, "standardize_returns", counting_standardize)
+    out = tmp_path / "zsweep"
+    code = _run(
+        ["--input", price_csv, "--output", out, "--standardize", "--sweep-k", "2,3",
+         "--sweep-gamma", "10,100", "--max-iter", 2, "--ratio", "auto"]
+    )
+    assert code == 0
+    assert calls == [(600, 10)]
+    report = json.loads((out / "K3_gamma100" / "report.json").read_text())
+    assert report["standardized"] is True and report["config"]["standardize"] is True
+
+
+@pytest.fixture(scope="module")
+def flat_column_csv(tmp_path_factory):
+    # asset A0 never moves, so its returns have no variance to scale by
+    panel, _ = panels.three_regime_panel(seed=0, t_len=120, n=5)
+    prices = panels.returns_to_prices(panel)
+    prices.values[:, 0] = 50.0
+    path = tmp_path_factory.mktemp("flat") / "prices.csv"
+    panels.write_prices_csv(path, prices)
+    return path
+
+
+@pytest.mark.parametrize(
+    "extra", [["--clusters", 2], ["--sweep-k", "2,3", "--sweep-gamma", "10,100"]],
+    ids=["fit", "sweep"],
+)
+def test_standardize_on_a_flat_column_fails_before_any_fit(
+    flat_column_csv, tmp_path, capsys, extra
+):
+    out = tmp_path / "flat"
+    assert _run(["--input", flat_column_csv, "--output", out, "--standardize"] + extra) == 2
+    assert "A0 has zero return variance" in _one_stderr_line(capsys)
+    # no fit ran: the failure report sits in the output directory itself
+    assert {p.name for p in out.iterdir()} == {"report.json"}
+    report = json.loads((out / "report.json").read_text())
+    assert report["error_kind"] == "data" and report["config"]["standardize"] is True
+
+
 def test_sweep_estimates_each_state_once(price_csv, tmp_path, monkeypatch):
     # with one iteration each cell fits its equal-block states, so cells of
     # equal K share all of them: 2 + 3 distinct states, not 2 * (2 + 3)
@@ -346,6 +399,19 @@ def test_sweep_propagates_cell_failure(price_csv, tmp_path):
     matrix = sweep["agreement"]
     assert matrix[0][1] is None and matrix[1][1] is None
     assert matrix[0][0] == 1.0
+
+
+def test_sweep_with_failed_cells_prints_one_line(price_csv, tmp_path, capsys):
+    out = tmp_path / "twofail"
+    code = _run(
+        ["--input", price_csv, "--output", out, "--sweep-k", "60,3,70", "--sweep-gamma", "100"]
+    )
+    assert code == 1
+    line = _one_stderr_line(capsys)
+    assert line.startswith("marketstates: config error: sweep cell K60_gamma100: infeasible")
+    assert line.rstrip().endswith("(2 of 3 cells failed)")
+    for name in ("K60_gamma100", "K70_gamma100"):
+        assert json.loads((out / name / "report.json").read_text())["error_kind"] == "config"
 
 
 def test_missing_required_flags(capsys):
@@ -428,3 +494,101 @@ def test_models_json_matches_the_csr_payload(tmp_path):
             json.dump(_csr_models_payload(models, assets), fh, indent=2, sort_keys=True)
             fh.write("\n")
         assert (tmp_path / "models.json").read_bytes() == (tmp_path / "old.json").read_bytes(), n
+
+
+# --- the exit-code contract under generated inputs
+
+_BAD_CELLS = ("x", "", "-1", "0", "inf", "nan", " 3 ")
+_BAD_DATES = ("2020-1-01", "2021-02-29", "20200101", "2020-13-45", "")
+
+
+@st.composite
+def _price_csv(draw):
+    """CSV text of a tiny price panel, with the odd bad header, date or cell."""
+    n = draw(st.integers(4, 6))
+    # a handful of rows fails early; 30 to 40 leave room for some fits
+    t_len = draw(st.one_of(st.integers(0, 3), st.integers(4, 40), st.integers(30, 40)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    names = [f"A{i}" for i in range(n)]
+    # each flaw is drawn rarely, so that most panels load and fit
+    header = draw(st.sampled_from(["date"] * 4 + ["Date", "\ufeffdate", "time"]))
+    flaw = draw(st.sampled_from([None] * 6 + ["empty name", "duplicate name", "short header"]))
+    if flaw == "empty name":
+        names[draw(st.integers(0, n - 1))] = " "
+    elif flaw == "duplicate name":
+        names[-1] = names[0]
+    elif flaw == "short header":
+        names = names[:-1]
+    prices = 100.0 * np.exp(np.cumsum(rng.normal(0.0, 0.02, size=(t_len, n)), axis=0))
+    if t_len and not draw(st.integers(0, 4)):
+        prices[:, draw(st.integers(0, n - 1))] = 7.0  # a flat column
+    cells = [[repr(float(v)) for v in row] for row in prices]
+    dates = [str(np.datetime64("2020-01-01") + i) for i in range(t_len)]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2])) if t_len else 0):
+        t, i = draw(st.integers(0, t_len - 1)), draw(st.integers(0, n - 1))
+        kind = draw(st.sampled_from(["cell", "date", "duplicate date", "row width"]))
+        if kind == "cell":
+            cells[t][i] = draw(st.sampled_from(_BAD_CELLS))
+        elif kind == "date":
+            dates[t] = draw(st.sampled_from(_BAD_DATES))
+        elif kind == "duplicate date":
+            dates[t] = dates[i % t_len]
+        else:
+            cells[t] = cells[t] + ["1"]  # one cell too many
+    lines = [",".join([header] + names)]
+    lines += [",".join([d] + row) for d, row in zip(dates, cells)]
+    if draw(st.booleans()):
+        lines[1:] = draw(st.permutations(lines[1:]))
+    return "\n".join(lines) + "\n"
+
+
+def _flag(name, values):
+    return st.one_of(st.just([]), st.sampled_from(values).map(lambda v: [name, v]))
+
+
+# valid settings, some of them infeasible for the panel, then at most one
+# invalid flag; argparse keeps the last value of a repeated flag
+_ARGV = st.tuples(
+    _flag("--clusters", ["2", "3"]),
+    _flag("--gamma", ["0", "5", "100", "1e9"]),
+    _flag("--mode", ["likelihood", "mahalanobis"]),
+    _flag("--similarity", ["signed", "absolute", "squared"]),
+    st.sampled_from([[], ["--standardize"]]),
+    _flag("--max-iter", ["1", "3"]),
+    _flag("--seed", ["0", "7"]),
+    _flag("--min-cluster-size", ["5", "8", "400"]),
+    _flag("--ratio", ["auto", "0,1", "1,0"]),
+    _flag("--sweep-k", ["2,3", "2"]),
+    _flag("--sweep-gamma", ["5,50", "1"]),
+    st.sampled_from(
+        [[]] * 32
+        + [["--clusters", "1"], ["--clusters", "x"], ["--gamma", "-1"], ["--gamma", "nan"],
+           ["--mode", "other"], ["--max-iter", "0"], ["--seed", "-1"],
+           ["--min-cluster-size", "4"], ["--ratio", "0,0"], ["--ratio", "0,9"],
+           ["--ratio", "x"], ["--sweep-k", ""], ["--sweep-k", "2,x"],
+           ["--sweep-gamma", "nan"], ["--sweep-gamma", "1,abc"], ["--bogus"]]
+    ),
+).map(lambda groups: [a for group in groups for a in group])
+
+
+@settings(max_examples=150, deadline=None)
+@given(body=_price_csv(), flags=_ARGV)
+def test_every_input_gets_an_exit_code_and_one_line(body, flags):
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        data, out = Path(tmp) / "prices.csv", Path(tmp) / "out"
+        data.write_text(body, encoding="utf-8")
+        # outside pytest a warning prints to stderr, so it counts as a line
+        with contextlib.redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["--input", str(data), "--output", str(out)] + flags)
+        reports = [json.loads(r.read_text())["status"] for r in out.rglob("report.json")]
+    assert code in (0, 1, 2, 3), code
+    lines = err.getvalue().splitlines() + [str(w.message) for w in caught]
+    if code == 0:
+        assert lines == [] and reports and set(reports) == {"ok"}, (lines, reports)
+    else:
+        assert len(lines) == 1 and lines[0].startswith("marketstates: "), lines
+    if code in (2, 3):
+        # past validation, a data or fit failure always leaves its report
+        assert "error" in reports, reports

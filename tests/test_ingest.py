@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -125,6 +126,17 @@ def test_standardize_rejects_constant_column():
         standardize_returns(panel)
 
 
+def test_standardize_rejects_a_single_date():
+    # one date has no sample variance; numpy would warn on stderr before the error
+    panel = ReturnsPanel(
+        dates=("2021-01-04",), assets=("a", "b", "c", "d"), values=np.ones((1, 4))
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match="at least 2 return dates"):
+            standardize_returns(panel)
+
+
 @pytest.mark.parametrize(
     "body,fragment",
     [
@@ -137,6 +149,10 @@ def test_standardize_rejects_constant_column():
         ("date,A,B,C\n2020-01-01,1,1,1\n2020-01-02,2,2,2\n", "asset columns"),
         ("date,A,B,C,D\n2020-01-01,1,1,1,1\n", "data rows"),
         ("date,A,A,C,D\n2020-01-01,1,1,1,1\n2020-01-02,2,2,2,2\n", "duplicate asset"),
+        ("date,A,B,,D\n2020-01-01,1,1,1,1\n2020-01-02,2,2,2,2\n",
+         "header column 4 has an empty asset name"),
+        ("date, ,B,C,D\n2020-01-01,1,1,1,1\n2020-01-02,2,2,2,2\n",
+         "header column 2 has an empty asset name"),
         ("date,A,B,C,D\n2020-1-01,1,1,1,1\n2020-01-02,2,2,2,2\n", "ISO-8601"),
         # the pattern passes these; the calendar does not
         ("date,A,B,C,D\n2020-13-45,1,1,1,1\n2020-01-02,2,2,2,2\n",
@@ -151,6 +167,17 @@ def test_standardize_rejects_constant_column():
 def test_rejects_malformed_csv(tmp_path, body, fragment):
     with pytest.raises(DataError, match=fragment):
         load_price_panel(_write(tmp_path, body))
+
+
+def test_byte_order_mark_is_skipped(tmp_path):
+    # spreadsheet exports often start with a UTF-8 byte-order mark
+    plain = load_price_panel(_write(tmp_path, BASIC, "plain.csv"))
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + BASIC.encode("utf-8"))
+    panel = load_price_panel(marked)
+    assert list(panel.dates) == list(plain.dates)
+    assert list(panel.assets) == list(plain.assets)
+    assert panel.values.tobytes() == plain.values.tobytes()
 
 
 def test_missing_file_is_data_error(tmp_path):

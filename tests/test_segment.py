@@ -10,7 +10,7 @@ import panels
 from marketstates import segment
 from marketstates.errors import ConfigError, EstimationError, FitError
 from marketstates.ifn import build_tmfg, logo_precision
-from marketstates.ingest import ReturnsPanel
+from marketstates.ingest import ReturnsPanel, standardize_returns
 from marketstates.segment import (
     ClusteringConfig,
     ClusterModel,
@@ -385,10 +385,10 @@ def test_fit_single_regime_stays_put(rng):
 
 
 def test_fit_standardize_flag(three_regime):
+    # fit takes the panel as given; z-scoring is the caller's choice
     panel, truth = three_regime
-    config = ClusteringConfig(n_clusters=3, gamma=100.0, seed=0, standardize=True)
-    _, path, report = fit(panel, config)
-    assert report.standardized
+    config = ClusteringConfig(n_clusters=3, gamma=100.0, seed=0)
+    _, path, _ = fit(standardize_returns(panel), config)
     assert panels.matched_accuracy(path.labels, truth) >= 0.9
 
 
@@ -494,18 +494,14 @@ def test_shared_memo_gives_the_same_fit(three_regime):
     # the memo is warmed under every setting it keys on, so a key that
     # left one out would hand a fit another setting's states
     panel, _ = three_regime
-    keyed = list(itertools.product((False, True), ("signed", "absolute")))
+    keyed = ("signed", "absolute", "squared")
     memo = {}
-    for standardize, similarity in keyed:
-        warm = ClusteringConfig(
-            n_clusters=3, gamma=10.0, seed=0,
-            standardize=standardize, similarity_mode=similarity,
-        )
+    for similarity in keyed:
+        warm = ClusteringConfig(n_clusters=3, gamma=10.0, seed=0, similarity_mode=similarity)
         fit(panel, warm, memo=memo)
-    for standardize, similarity in keyed:
+    for similarity in keyed:
         config = ClusteringConfig(
-            n_clusters=3, gamma=100.0, seed=0, restarts=2,
-            standardize=standardize, similarity_mode=similarity,
+            n_clusters=3, gamma=100.0, seed=0, restarts=2, similarity_mode=similarity
         )
         _assert_same_fit(fit(panel, config), fit(panel, config, memo=memo))
 
@@ -521,7 +517,7 @@ def test_memo_keeps_only_the_starting_states(three_regime, monkeypatch):
     assert report.restarts_used == 3
     assert len(calls) > len(memo) == 3 * (1 + 3)  # the states of each start
     blocks = np.repeat(np.arange(3), 200)
-    assert {(np.flatnonzero(blocks == k).tobytes(), "signed", False) for k in range(3)} <= memo.keys()
+    assert {(np.flatnonzero(blocks == k).tobytes(), "signed") for k in range(3)} <= memo.keys()
     # a second fit of the same panel estimates only its refit states
     first = list(calls)
     calls.clear()
