@@ -125,14 +125,18 @@ def label_agreement(labels_a, labels_b) -> float:
     Builds the confusion matrix of the two label sequences and matches
     states by Hungarian assignment (_matched_sum), so arbitrary per-run
     label identities do not matter. Sequences may use different state
-    counts.
+    counts. Labels must be non-negative integers (not cast or wrapped).
     """
-    a = np.asarray(labels_a, dtype=int)
-    b = np.asarray(labels_b, dtype=int)
+    a = np.asarray(labels_a, dtype=float)
+    b = np.asarray(labels_b, dtype=float)
     if a.shape != b.shape or a.ndim != 1:
         raise ValueError("label sequences must be 1-d and equally long")
     if a.size == 0:
         raise ValueError("label sequences are empty; agreement is undefined")
+    both = np.concatenate([a, b])
+    if not np.all((both >= 0) & (both < np.inf) & (both == np.floor(both))):
+        raise ValueError("labels must be non-negative integers")
+    a, b = a.astype(int), b.astype(int)
     k_a = int(a.max()) + 1
     k_b = int(b.max()) + 1
     confusion = np.zeros((k_a, k_b), dtype=int)

@@ -24,7 +24,7 @@ import argparse
 import itertools
 import json
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -188,7 +188,7 @@ def run_fit(config: RunConfig, returns: ReturnsPanel, *, memo=None) -> StatePath
     _write_json(out_dir / "models.json", _models_payload(models, returns.assets))
 
     payload = {"status": "ok", "config": _config_payload(config)}
-    payload.update(report.to_dict(), standardized=config.standardize)
+    payload.update(asdict(report), standardized=config.standardize)
     if series is not None:
         payload["ratio_states"] = [int(series.state_a), int(series.state_b)]
     _write_json(out_dir / "report.json", payload)

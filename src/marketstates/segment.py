@@ -13,6 +13,7 @@ Scoring multiplies by each J as a dense array built from the precision's
 upper-triangle entries, so fitting imports numpy only.
 """
 
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -55,7 +56,9 @@ class ClusteringConfig:
     def validate(self) -> None:
         if not _is_int(self.n_clusters) or self.n_clusters < 2:
             raise ConfigError(f"n_clusters must be an integer >= 2, got {self.n_clusters}")
-        if not np.isfinite(self.gamma) or self.gamma < 0.0:
+        if isinstance(self.gamma, bool) or not isinstance(self.gamma, numbers.Real):
+            raise ConfigError(f"gamma must be a real number other than a bool, got {self.gamma!r}")
+        if not 0.0 <= self.gamma < np.inf:  # NaN fails both comparisons
             raise ConfigError(f"gamma must be finite and >= 0, got {self.gamma}")
         if self.scoring_mode not in SCORING_MODES:
             raise ConfigError(f"scoring_mode must be one of {SCORING_MODES}, got {self.scoring_mode!r}")
@@ -117,7 +120,7 @@ class StatePath:
 
 @dataclass
 class FitReport:
-    """Diagnostics from one fit: trajectory, convergence, and occupancy."""
+    """Diagnostics from one fit; plain Python values, so asdict is its JSON form."""
 
     iterations: int
     objective_trajectory: list
@@ -128,21 +131,7 @@ class FitReport:
     objective_decreased: bool
     repairs: int
     best_iteration: int
-    restarts_used: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "iterations": self.iterations,
-            "objective_trajectory": [float(v) for v in self.objective_trajectory],
-            "objective": float(self.objective),
-            "switches": int(self.switches),
-            "occupancy": [int(c) for c in self.occupancy],
-            "converged": self.converged,
-            "objective_decreased": self.objective_decreased,
-            "repairs": int(self.repairs),
-            "best_iteration": int(self.best_iteration),
-            "restarts_used": int(self.restarts_used),
-        }
+    restarts_used: int
 
 
 def score_states(returns: ReturnsPanel, models, mode: str = "likelihood") -> ScoreMatrix:
@@ -265,14 +254,14 @@ def estimate_cluster(
     )
 
 
-def _block_initial_labels(t_len: int, k: int) -> np.ndarray:
-    return np.minimum(np.arange(t_len) * k // t_len, k - 1).astype(int)
-
-
-def _random_contiguous_labels(t_len: int, k: int, min_size: int, rng) -> np.ndarray:
-    slack = t_len - k * min_size
-    lengths = min_size + rng.multinomial(slack, np.full(k, 1.0 / k))
-    return np.repeat(np.arange(k), lengths)
+def _starts(t_len: int, config: ClusteringConfig, min_size: int):
+    """The equal-block labels, then config.restarts random contiguous ones."""
+    k = config.n_clusters
+    yield np.minimum(np.arange(t_len) * k // t_len, k - 1).astype(int)
+    rng = np.random.default_rng(config.seed)
+    for _ in range(config.restarts):
+        lengths = min_size + rng.multinomial(t_len - k * min_size, np.full(k, 1.0 / k))
+        yield np.repeat(np.arange(k), lengths)
 
 
 def _absorb_window(labels, realized_scores, state, length, blocked):
@@ -318,14 +307,13 @@ def _estimate_all(panel, labels, config: ClusteringConfig, known: dict):
     return models, keys
 
 
-def _fit_once(panel: ReturnsPanel, config: ClusteringConfig, initial_labels, min_size, memo):
+def _fit_once(panel: ReturnsPanel, config: ClusteringConfig, labels, min_size, memo):
     # The starting states come from and go into memo, if given. A later
     # iteration looks only among the states of the current iterate, which
     # the fit holds anyway, so refits keep no extra models alive.
     known = {} if memo is None else memo
     k_len = config.n_clusters
     t_len = panel.values.shape[0]
-    labels = np.asarray(initial_labels, dtype=int).copy()
     prev_scores = None
 
     trajectory: list = []
@@ -335,39 +323,36 @@ def _fit_once(panel: ReturnsPanel, config: ClusteringConfig, initial_labels, min
     best = None  # (objective, models, path, iteration)
 
     for _ in range(config.max_iterations):
-        # Repair pass: undersized or degenerate states absorb the worst
-        # contiguous run of points before re-estimation. Two failed
-        # attempts abort the fit.
-        realized = None
-        if prev_scores is not None:
-            realized = prev_scores[np.arange(t_len), labels]
+        # Repair pass: the undersized states, or the one state whose
+        # estimate raised, absorb the worst-scoring contiguous run of
+        # min_size points before re-estimation. The first iteration has no
+        # scores to choose a run by, and a third failed attempt aborts.
+        realized = None if prev_scores is None else prev_scores[np.arange(t_len), labels]
         blocked = np.zeros(t_len, dtype=bool)
         attempts = 0
         while True:
             sizes = np.bincount(labels, minlength=k_len)
-            under = np.flatnonzero(sizes < min_size)
-            if under.size:
-                if realized is None or attempts >= _MAX_REPAIR_ATTEMPTS:
-                    raise FitError(
-                        f"cannot repair undersized state(s) {under.tolist()} "
-                        f"(sizes {sizes.tolist()}, need {min_size})"
-                    )
-                for k in under:
-                    labels = _absorb_window(labels, realized, int(k), min_size, blocked)
-                    repairs += 1
-                attempts += 1
-                continue
-            try:
-                models, keys = _estimate_all(panel, labels, config, known)
-                known = dict(zip(keys, models))
-                break
-            except EstimationError as exc:
-                failed = getattr(exc, "cluster_label", None)
-                if realized is None or attempts >= _MAX_REPAIR_ATTEMPTS or failed is None:
-                    raise FitError(f"state estimation failed: {exc}") from exc
-                labels = _absorb_window(labels, realized, failed, min_size, blocked)
+            to_repair = np.flatnonzero(sizes < min_size).tolist()
+            cause = None
+            if to_repair:
+                problem = (
+                    f"cannot repair undersized state(s) {to_repair} "
+                    f"(sizes {sizes.tolist()}, need {min_size})"
+                )
+            else:
+                try:
+                    models, keys = _estimate_all(panel, labels, config, known)
+                    break
+                except EstimationError as exc:
+                    to_repair, cause = [exc.cluster_label], exc
+                    problem = f"state estimation failed: {exc}"
+            if realized is None or attempts >= _MAX_REPAIR_ATTEMPTS:
+                raise FitError(problem) from cause
+            for k in to_repair:
+                labels = _absorb_window(labels, realized, k, min_size, blocked)
                 repairs += 1
-                attempts += 1
+            attempts += 1
+        known = dict(zip(keys, models))
 
         scores = score_states(panel, models, config.scoring_mode)
         path = solve_path(scores, config.gamma)
@@ -398,11 +383,12 @@ def _fit_once(panel: ReturnsPanel, config: ClusteringConfig, initial_labels, min
         objective_decreased=decreased,
         repairs=repairs,
         best_iteration=best_iteration,
+        restarts_used=config.restarts,
     )
     return models, path, report
 
 
-def fit(returns: ReturnsPanel, config: ClusteringConfig, initial_labels=None, *, memo=None):
+def fit(returns: ReturnsPanel, config: ClusteringConfig, *, memo=None):
     """Fit K market states to a returns panel.
 
     Alternates exact penalized assignment (solve_path) with per-state
@@ -412,14 +398,18 @@ def fit(returns: ReturnsPanel, config: ClusteringConfig, initial_labels=None, *,
     way. Deterministic for a given (panel, config, seed). The panel is
     fitted as given: to fit z-scores, pass standardize_returns(returns).
 
+    Each start runs the loop to its end: the equal-block labels first,
+    then config.restarts random contiguous partitions (at least
+    min_cluster_size points per state) drawn from config.seed. The first
+    start with the best final objective is returned.
+
     A refit iteration reuses each state whose members did not change.
     memo, if given, is a dict from (member-index bytes, similarity mode)
-    to the model of a starting state: each start (the equal-block labels,
-    then any restarts) reuses the states it holds and adds those it
-    estimates, so fits that start from the same labels, such as the sweep
-    cells that share K, estimate them once. Its keys hold member indices,
-    not data, so one memo is only valid for one returns panel. Left as
-    None, no start is kept.
+    to the model of a starting state: each start reuses the states it
+    holds and adds those it estimates, so fits that start from the same
+    labels, such as the sweep cells that share K, estimate them once. Its
+    keys hold member indices, not data, so one memo is only valid for one
+    returns panel. Left as None, no start is kept.
 
     Returns (models, path, report).
     """
@@ -434,25 +424,7 @@ def fit(returns: ReturnsPanel, config: ClusteringConfig, initial_labels=None, *,
             f"states of at least {min_size} points each"
         )
 
-    if initial_labels is not None:
-        inits = [np.asarray(initial_labels, dtype=int)]
-        if inits[0].shape != (t_len,):
-            raise ConfigError("initial_labels length does not match the panel")
-        if inits[0].min() < 0 or inits[0].max() >= config.n_clusters:
-            raise ConfigError("initial_labels contain out-of-range states")
-    else:
-        inits = [_block_initial_labels(t_len, config.n_clusters)]
-        if config.restarts:
-            rng = np.random.default_rng(config.seed)
-            for _ in range(config.restarts):
-                inits.append(
-                    _random_contiguous_labels(t_len, config.n_clusters, min_size, rng)
-                )
-
-    best_result = None
-    for labels0 in inits:
-        models, path, report = _fit_once(returns, config, labels0, min_size, memo)
-        report = replace(report, restarts_used=len(inits) - 1)
-        if best_result is None or path.objective > best_result[1].objective:
-            best_result = (models, path, report)
-    return best_result
+    starts = _starts(t_len, config, min_size)
+    # max keeps the first of equal bests, and only one result at a time
+    fits = (_fit_once(returns, config, labels0, min_size, memo) for labels0 in starts)
+    return max(fits, key=lambda result: result[1].objective)

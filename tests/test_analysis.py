@@ -175,3 +175,22 @@ def test_label_agreement_rejects_length_mismatch():
 def test_label_agreement_rejects_empty_input():
     with pytest.raises(ValueError, match="empty"):
         label_agreement([], [])
+
+
+@pytest.mark.parametrize(
+    "labels_a, labels_b",
+    [
+        ([-1, -1, 0, 1], [2, 2, 0, 1]),  # -1 would index the last state
+        ([0, 1, 1.7, 0.2], [0, 1, 1, 0]),  # a cast would truncate 1.7 and 0.2
+        ([0, 1, 1, 0], [0, 1, np.nan, 0]),
+    ],
+)
+def test_label_agreement_rejects_negative_or_fractional_labels(labels_a, labels_b):
+    with pytest.raises(ValueError, match="non-negative integers"):
+        label_agreement(labels_a, labels_b)
+    with pytest.raises(ValueError, match="non-negative integers"):
+        label_agreement(labels_b, labels_a)
+
+
+def test_label_agreement_accepts_integral_floats():
+    assert label_agreement([0.0, 0.0, 1.0, 1.0], [1, 1, 0, 0]) == 1.0

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -108,6 +109,10 @@ def test_config_defaults():
         {"max_iterations": 0},
         {"min_cluster_size": 4},
         {"restarts": -1},
+        {"gamma": float("inf")},
+        {"gamma": True},  # a bool passes numbers.Real but is no penalty
+        {"gamma": "1"},
+        {"gamma": None},
     ],
 )
 def test_config_rejects(kwargs):
@@ -359,23 +364,6 @@ def test_fit_deterministic(three_regime):
     assert report_a.objective_trajectory == report_b.objective_trajectory
 
 
-def test_fit_accepts_initial_labels(three_regime):
-    panel, truth = three_regime
-    config = ClusteringConfig(n_clusters=3, gamma=100.0, seed=0)
-    _, path, _ = fit(panel, config, initial_labels=truth)
-    assert panels.matched_accuracy(path.labels, truth) >= 0.99
-
-
-def test_initial_label_permutation_equivalence(three_regime):
-    # relabeling the starting partition must not change the partition found
-    panel, truth = three_regime
-    config = ClusteringConfig(n_clusters=3, gamma=100.0, seed=0)
-    _, path_a, _ = fit(panel, config, initial_labels=truth)
-    permuted = np.array([2, 0, 1])[truth]
-    _, path_b, _ = fit(panel, config, initial_labels=permuted)
-    assert panels.matched_accuracy(path_a.labels, path_b.labels) == 1.0
-
-
 def test_fit_single_regime_stays_put(rng):
     n = 6
     cov = panels.random_spd(rng, n, strength=0.2) * 1e-4
@@ -429,17 +417,6 @@ def test_fit_rejects_few_assets(rng):
         fit(panel, ClusteringConfig(n_clusters=2))
 
 
-def test_fit_rejects_bad_initial_labels(three_regime):
-    panel, _ = three_regime
-    config = ClusteringConfig(n_clusters=3)
-    with pytest.raises(ConfigError):
-        fit(panel, config, initial_labels=np.zeros(5, dtype=int))
-    bad = np.zeros(len(panel.dates), dtype=int)
-    bad[0] = 7
-    with pytest.raises(ConfigError):
-        fit(panel, config, initial_labels=bad)
-
-
 def test_fit_degenerate_panel_fails_cleanly():
     values = np.zeros((60, 5))
     values[:, 0] = np.linspace(-1, 1, 60)  # only one asset moves
@@ -457,6 +434,109 @@ def test_monotone_improvement_between_iterations(three_regime):
     assert report.objective == pytest.approx(best)
     if report.objective_decreased:
         assert report.objective_trajectory[-1] < best
+
+
+# --- repair pass
+
+
+def _record_rounds(monkeypatch):
+    """Record the labels of every re-estimation round fit makes."""
+    rounds = []
+    estimate_all = segment._estimate_all
+
+    def recording(panel, labels, config, known):
+        rounds.append(labels.copy())
+        return estimate_all(panel, labels, config, known)
+
+    monkeypatch.setattr(segment, "_estimate_all", recording)
+    return rounds
+
+
+def _count_absorbs(monkeypatch):
+    """Record the state of every window that the repair pass absorbs."""
+    states = []
+    absorb = segment._absorb_window
+
+    def counting(labels, realized_scores, state, length, blocked):
+        states.append(state)
+        return absorb(labels, realized_scores, state, length, blocked)
+
+    monkeypatch.setattr(segment, "_absorb_window", counting)
+    return states
+
+
+def test_undersized_state_is_repaired_at_the_refit(three_regime, monkeypatch):
+    # four states on three regimes: the first assignment empties state 1,
+    # and the refit gives it back the worst-scoring window of min_size days
+    panel, _ = three_regime
+    config = ClusteringConfig(n_clusters=4, gamma=100.0, seed=0, max_iterations=2)
+    min_size = config.resolved_min_cluster_size(len(panel.assets))
+    rounds = _record_rounds(monkeypatch)
+    models, _, report = fit(panel, config)
+    assert report.repairs == 1
+    assert len(rounds) == 2
+    window = np.flatnonzero(rounds[1] == 1)
+    assert window.size == min_size
+    assert np.array_equal(window, np.arange(window[0], window[0] + min_size))
+    assert all(m.member_count >= min_size for m in models)
+    assert sum(m.member_count for m in models) == len(panel.dates)
+
+
+def test_failed_estimate_is_repaired_at_the_refit(three_regime, monkeypatch):
+    # the first state estimated after the starting round raises once; the
+    # refit absorbs a window into that state and estimates it again
+    panel, _ = three_regime
+    config = ClusteringConfig(n_clusters=3, gamma=0.0, seed=0, max_iterations=2)
+    min_size = config.resolved_min_cluster_size(len(panel.assets))
+    estimate = segment.estimate_cluster
+    calls, failed = [], []
+
+    def failing_once(returns, member_indices, config, label=0):
+        calls.append(label)
+        if len(calls) == config.n_clusters + 1:
+            failed.append(label)
+            raise EstimationError(f"state {label}: forced failure")
+        return estimate(returns, member_indices, config, label=label)
+
+    monkeypatch.setattr(segment, "estimate_cluster", failing_once)
+    absorbed = _count_absorbs(monkeypatch)
+    models, _, report = fit(panel, config)
+    assert len(failed) == 1
+    assert absorbed == failed
+    assert report.repairs == 1
+    assert report.iterations == 2
+    assert all(m.member_count >= min_size for m in models)
+
+
+def test_undersized_start_cannot_be_repaired(three_regime):
+    # the first iteration has no earlier scores to pick a window by
+    panel, _ = three_regime
+    config = ClusteringConfig(n_clusters=3, gamma=100.0, seed=0)
+    min_size = config.resolved_min_cluster_size(len(panel.assets))
+    labels0 = np.zeros(len(panel.dates), dtype=int)
+    labels0[:3] = 2
+    with pytest.raises(FitError, match=r"cannot repair undersized state\(s\) \[1, 2\]"):
+        segment._fit_once(panel, config, labels0, min_size, None)
+
+
+def test_estimate_failing_every_attempt_stops_after_two_repairs(three_regime, monkeypatch):
+    panel, _ = three_regime
+    config = ClusteringConfig(n_clusters=3, gamma=0.0, seed=0)
+    estimate = segment.estimate_cluster
+    calls = []
+
+    def failing_after_start(returns, member_indices, config, label=0):
+        calls.append(label)
+        if len(calls) > config.n_clusters:
+            raise EstimationError(f"state {label}: forced failure")
+        return estimate(returns, member_indices, config, label=label)
+
+    monkeypatch.setattr(segment, "estimate_cluster", failing_after_start)
+    absorbed = _count_absorbs(monkeypatch)
+    with pytest.raises(FitError, match="state estimation failed: state .: forced failure") as info:
+        fit(panel, config)
+    assert len(absorbed) == 2
+    assert isinstance(info.value.__cause__, EstimationError)
 
 
 # --- state-estimate memo
@@ -479,7 +559,7 @@ def _assert_same_fit(a, b):
     (models_a, path_a, report_a), (models_b, path_b, report_b) = a, b
     assert np.array_equal(path_a.labels, path_b.labels)
     assert path_a.objective == path_b.objective
-    assert report_a.to_dict() == report_b.to_dict()
+    assert asdict(report_a) == asdict(report_b)
     assert len(models_a) == len(models_b)
     for ma, mb in zip(models_a, models_b):
         assert (ma.label, ma.member_count) == (mb.label, mb.member_count)
@@ -542,7 +622,9 @@ def test_refit_reuses_the_states_of_the_iterate_before(three_regime, monkeypatch
     # and leaves state 2 as it was
     labels0 = truth.copy()
     labels0[200:240] = 0
-    fit(panel, ClusteringConfig(n_clusters=3, gamma=100.0, seed=0), initial_labels=labels0)
+    config = ClusteringConfig(n_clusters=3, gamma=100.0, seed=0)
+    min_size = config.resolved_min_cluster_size(len(panel.assets))
+    segment._fit_once(panel, config, labels0, min_size, None)
     assert len(rounds) >= 2
     assert rounds[0][1] == [key[0] for key in rounds[0][0]]
     reused = 0
@@ -556,11 +638,12 @@ def test_refit_reuses_the_states_of_the_iterate_before(three_regime, monkeypatch
 def test_memo_hit_under_another_label_gets_that_label(three_regime, monkeypatch):
     panel, truth = three_regime
     config = ClusteringConfig(n_clusters=3, gamma=100.0, seed=0, max_iterations=1)
+    min_size = config.resolved_min_cluster_size(len(panel.assets))
     memo = {}
-    first, _, _ = fit(panel, config, initial_labels=truth, memo=memo)
+    first, _, _ = segment._fit_once(panel, config, truth, min_size, memo)
     calls = _count_estimates(monkeypatch)
     perm = np.array([2, 0, 1])
-    second, _, _ = fit(panel, config, initial_labels=perm[truth], memo=memo)
+    second, _, _ = segment._fit_once(panel, config, perm[truth], min_size, memo)
     assert calls == []  # every state came from the memo
     assert [m.label for m in first] == [0, 1, 2]
     assert [m.label for m in second] == [0, 1, 2]
