@@ -96,9 +96,10 @@ def _write_csv(path: Path, header: str, dates, cells) -> None:
             fh.write(f"{date},{cell}\n")
 
 
-def _models_payload(models, assets) -> dict:
+def _models_payload(models, occupancy, assets) -> dict:
+    """models.json content; occupancy[k] is the days state k holds in states.csv."""
     states = []
-    for model in models:
+    for model, days in zip(models, occupancy):
         # the upper-triangle entries come sorted by (i, j), so the edges
         # need no sort
         precision = model.precision
@@ -112,7 +113,7 @@ def _models_payload(models, assets) -> dict:
                 "label": int(model.label),
                 "mu": [float(v) for v in model.mu],
                 "log_det": float(precision.log_det),
-                "occupancy": int(model.member_count),
+                "occupancy": int(days),
                 "diagonal": diagonal.tolist(),
                 "edges": [list(edge) for edge in edges],
             }
@@ -185,7 +186,9 @@ def run_fit(config: RunConfig, returns: ReturnsPanel, *, memo=None) -> StatePath
     if series is not None:
         cells = (repr(float(v)) for v in series.values)
         _write_csv(out_dir / "ratio.csv", "date,value", series.dates, cells)
-    _write_json(out_dir / "models.json", _models_payload(models, returns.assets))
+    _write_json(
+        out_dir / "models.json", _models_payload(models, report.occupancy, returns.assets)
+    )
 
     payload = {"status": "ok", "config": _config_payload(config)}
     payload.update(asdict(report), standardized=config.standardize)
@@ -303,7 +306,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--max-iter", type=int, default=50, help="fit iteration budget")
     parser.add_argument("--seed", type=int, default=0, help="seed for random restarts")
     parser.add_argument("--min-cluster-size", type=int, default=None,
-                        help="minimum points per state (default: assets + 1)")
+                        help="fewest days a state's model is estimated from; a state "
+                        "assigned fewer at a refit keeps its previous model "
+                        "(default: assets + 1)")
     parser.add_argument("--ratio", default=None,
                         help="'A,B' state labels or 'auto' for lowest-vs-highest mean return")
     parser.add_argument("--sweep-k", type=_list_of(int, "integers"), default=None,

@@ -26,7 +26,6 @@ SCORING_MODES = ("likelihood", "mahalanobis")
 SIMILARITY_MODES = ("signed", "absolute", "squared")
 
 _DECREASE_TOL = 1e-9
-_MAX_REPAIR_ATTEMPTS = 2
 
 
 def _is_int(value) -> bool:
@@ -38,10 +37,12 @@ def _is_int(value) -> bool:
 class ClusteringConfig:
     """Fit settings.
 
-    min_cluster_size defaults to n_assets + 1 (at least 5) when left as
-    None; gamma is in log-likelihood units. restarts adds that many
-    random contiguous-block initializations on top of the deterministic
-    equal-block one, keeping the best final objective.
+    min_cluster_size is the fewest days a state's model is estimated from;
+    a state assigned fewer at a refit keeps its previous model. It
+    defaults to n_assets + 1 (at least 5) when left as None. gamma is in
+    log-likelihood units. restarts adds that many random contiguous-block
+    initializations on top of the deterministic equal-block one, keeping
+    the best final objective.
     """
 
     n_clusters: int = 4
@@ -264,33 +265,18 @@ def _starts(t_len: int, config: ClusteringConfig, min_size: int):
         yield np.repeat(np.arange(k), lengths)
 
 
-def _absorb_window(labels, realized_scores, state, length, blocked):
-    """Reassign the worst-scoring contiguous window of time points to `state`.
-
-    realized_scores[t] is the previous score of t under its own label;
-    blocked marks stretches already consumed by an earlier repair.
-    """
-    t_len = labels.shape[0]
-    cost = np.where(blocked, np.inf, realized_scores)
-    window_cost = np.convolve(cost, np.ones(length), mode="valid")
-    start = int(np.argmin(window_cost))
-    if not np.isfinite(window_cost[start]):
-        raise FitError(f"state {state}: no free window of {length} points left to absorb")
-    labels = labels.copy()
-    labels[start : start + length] = state
-    blocked[start : start + length] = True
-    return labels
-
-
-def _estimate_all(panel, labels, config: ClusteringConfig, known: dict):
+def _estimate_all(panel, labels, config: ClusteringConfig, known: dict, previous):
     """One model per state, reusing those whose member set known holds.
 
     known maps (member-index bytes, similarity mode) to a model and gains
-    every state estimated here; EstimationError is not kept. A member set
-    can come back under another label, so the label is set on the way
-    out. Returns the models and their keys, in label order.
+    every state estimated here. A state whose estimate raises keeps its
+    model in previous, the iterate before; with previous None, it raises.
+    A member set can come back under another label, so the label is set on
+    the way out. Returns the models in label order, this iterate's states
+    keyed as in known, and how many were kept. Kept states get no key: it
+    would not be their members', and two emptied states would share it.
     """
-    models, keys = [], []
+    models, states, kept = [], {}, 0
     for k in range(config.n_clusters):
         idx = np.flatnonzero(labels == k)
         key = (idx.tobytes(), config.similarity_mode)
@@ -298,23 +284,24 @@ def _estimate_all(panel, labels, config: ClusteringConfig, known: dict):
         if model is None:
             try:
                 model = estimate_cluster(panel, idx, config, label=k)
-            except EstimationError as exc:
-                exc.cluster_label = k
-                raise
+            except EstimationError:
+                if previous is None:
+                    raise
+                models.append(previous[k])
+                kept += 1
+                continue
             known[key] = model
+        states[key] = model
         models.append(replace(model, label=k))
-        keys.append(key)
-    return models, keys
+    return models, states, kept
 
 
-def _fit_once(panel: ReturnsPanel, config: ClusteringConfig, labels, min_size, memo):
+def _fit_once(panel: ReturnsPanel, config: ClusteringConfig, labels, memo):
     # The starting states come from and go into memo, if given. A later
     # iteration looks only among the states of the current iterate, which
     # the fit holds anyway, so refits keep no extra models alive.
     known = {} if memo is None else memo
-    k_len = config.n_clusters
-    t_len = panel.values.shape[0]
-    prev_scores = None
+    models = None
 
     trajectory: list = []
     repairs = 0
@@ -323,36 +310,13 @@ def _fit_once(panel: ReturnsPanel, config: ClusteringConfig, labels, min_size, m
     best = None  # (objective, models, path, iteration)
 
     for _ in range(config.max_iterations):
-        # Repair pass: the undersized states, or the one state whose
-        # estimate raised, absorb the worst-scoring contiguous run of
-        # min_size points before re-estimation. The first iteration has no
-        # scores to choose a run by, and a third failed attempt aborts.
-        realized = None if prev_scores is None else prev_scores[np.arange(t_len), labels]
-        blocked = np.zeros(t_len, dtype=bool)
-        attempts = 0
-        while True:
-            sizes = np.bincount(labels, minlength=k_len)
-            to_repair = np.flatnonzero(sizes < min_size).tolist()
-            cause = None
-            if to_repair:
-                problem = (
-                    f"cannot repair undersized state(s) {to_repair} "
-                    f"(sizes {sizes.tolist()}, need {min_size})"
-                )
-            else:
-                try:
-                    models, keys = _estimate_all(panel, labels, config, known)
-                    break
-                except EstimationError as exc:
-                    to_repair, cause = [exc.cluster_label], exc
-                    problem = f"state estimation failed: {exc}"
-            if realized is None or attempts >= _MAX_REPAIR_ATTEMPTS:
-                raise FitError(problem) from cause
-            for k in to_repair:
-                labels = _absorb_window(labels, realized, k, min_size, blocked)
-                repairs += 1
-            attempts += 1
-        known = dict(zip(keys, models))
+        # At a refit, a state whose estimate fails (too few members
+        # included) keeps its model; the first iteration has none to keep.
+        try:
+            models, known, kept = _estimate_all(panel, labels, config, known, models)
+        except EstimationError as exc:
+            raise FitError(f"state estimation failed: {exc}") from exc
+        repairs += kept
 
         scores = score_states(panel, models, config.scoring_mode)
         path = solve_path(scores, config.gamma)
@@ -369,7 +333,6 @@ def _fit_once(panel: ReturnsPanel, config: ClusteringConfig, labels, min_size, m
         if np.array_equal(path.labels, labels):
             converged = True
             break
-        prev_scores = scores.values
         labels = path.labels.copy()
 
     objective, models, path, best_iteration = best
@@ -378,7 +341,7 @@ def _fit_once(panel: ReturnsPanel, config: ClusteringConfig, labels, min_size, m
         objective_trajectory=trajectory,
         objective=objective,
         switches=path.switches,
-        occupancy=np.bincount(path.labels, minlength=k_len).tolist(),
+        occupancy=np.bincount(path.labels, minlength=config.n_clusters).tolist(),
         converged=converged,
         objective_decreased=decreased,
         repairs=repairs,
@@ -397,6 +360,12 @@ def fit(returns: ReturnsPanel, config: ClusteringConfig, *, memo=None):
     a graph re-selection; the best-objective iterate is returned either
     way. Deterministic for a given (panel, config, seed). The panel is
     fitted as given: to fit z-scores, pass standardize_returns(returns).
+
+    min_cluster_size is the fewest days a state's model is estimated
+    from: at a refit, a state assigned fewer, or whose estimate fails
+    otherwise, keeps its previous model and may end with fewer days, even
+    none. report.repairs counts kept states over all iterations. A failed
+    estimate at the first iteration raises FitError.
 
     Each start runs the loop to its end: the equal-block labels first,
     then config.restarts random contiguous partitions (at least
@@ -426,5 +395,5 @@ def fit(returns: ReturnsPanel, config: ClusteringConfig, *, memo=None):
 
     starts = _starts(t_len, config, min_size)
     # max keeps the first of equal bests, and only one result at a time
-    fits = (_fit_once(returns, config, labels0, min_size, memo) for labels0 in starts)
+    fits = (_fit_once(returns, config, labels0, memo) for labels0 in starts)
     return max(fits, key=lambda result: result[1].objective)

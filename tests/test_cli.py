@@ -78,6 +78,34 @@ def test_fit_writes_all_outputs(price_csv, tmp_path):
     float(ratio[1].split(",")[1])
 
 
+def test_occupancy_counts_the_days_in_states_csv(price_csv, tmp_path):
+    # one iteration keeps the models of the equal-block start, 150 days
+    # each, while the assignment written out gives three states 200 days
+    out = tmp_path / "oneiter"
+    assert _run(["--input", price_csv, "--output", out, "--max-iter", 1]) == 0
+    rows = (out / "states.csv").read_text().splitlines()[1:]
+    labels = [int(row.split(",")[1]) for row in rows]
+    days = np.bincount(labels, minlength=4).tolist()
+    models = json.loads((out / "models.json").read_text())
+    report = json.loads((out / "report.json").read_text())
+    assert [s["occupancy"] for s in models["states"]] == report["occupancy"] == days
+    assert sum(days) == len(labels) == 600
+    assert days != [150] * 4
+
+
+def test_states_the_assignment_empties_do_not_fail_the_fit(price_csv, tmp_path):
+    # six states on three regimes: the assignment leaves some with fewer
+    # than 90 days, and they keep their models instead of failing the fit
+    out = tmp_path / "sixstates"
+    argv = ["--input", price_csv, "--output", out, "--clusters", 6,
+            "--min-cluster-size", 90, "--gamma", 100]
+    assert _run(argv) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["status"] == "ok"
+    assert report["repairs"] > 0
+    assert sum(report["occupancy"]) == 600
+
+
 def test_defaults_accepted(price_csv, tmp_path):
     # four states and gamma 100 are the defaults; no ratio requested
     out = tmp_path / "defaults"
@@ -451,10 +479,10 @@ def test_cli_never_imports_scipy(price_csv, tmp_path):
     assert result == {"import": [], "main": [], "codes": [0, 0]}, result
 
 
-def _csr_models_payload(models, assets):
+def _csr_models_payload(models, occupancy, assets):
     """models.json content as built from each precision's scipy CSR form."""
     states = []
-    for model in models:
+    for model, days in zip(models, occupancy):
         matrix = model.precision.matrix.tocoo()
         edges = sorted(
             (int(i), int(j), float(v))
@@ -466,7 +494,7 @@ def _csr_models_payload(models, assets):
                 "label": int(model.label),
                 "mu": [float(v) for v in model.mu],
                 "log_det": float(model.precision.log_det),
-                "occupancy": int(model.member_count),
+                "occupancy": days,
                 "diagonal": [float(v) for v in model.precision.matrix.diagonal()],
                 "edges": [[i, j, v] for i, j, v in edges],
             }
@@ -489,9 +517,12 @@ def test_models_json_matches_the_csr_payload(tmp_path):
             )
         assert 0.0 in models[1].precision.sums
         assets = [f"A{i}" for i in range(n)]
-        cli._write_json(tmp_path / "models.json", cli._models_payload(models, assets))
+        occupancy = [n, 0]  # days held in states.csv, not the estimation days
+        payload = cli._models_payload(models, occupancy, assets)
+        cli._write_json(tmp_path / "models.json", payload)
         with open(tmp_path / "old.json", "w", encoding="utf-8") as fh:
-            json.dump(_csr_models_payload(models, assets), fh, indent=2, sort_keys=True)
+            expected = _csr_models_payload(models, occupancy, assets)
+            json.dump(expected, fh, indent=2, sort_keys=True)
             fh.write("\n")
         assert (tmp_path / "models.json").read_bytes() == (tmp_path / "old.json").read_bytes(), n
 

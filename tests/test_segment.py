@@ -436,58 +436,43 @@ def test_monotone_improvement_between_iterations(three_regime):
         assert report.objective_trajectory[-1] < best
 
 
-# --- repair pass
+# --- states kept at a refit
 
 
 def _record_rounds(monkeypatch):
-    """Record the labels of every re-estimation round fit makes."""
+    """Record (labels, models, kept) of every re-estimation round fit makes."""
     rounds = []
     estimate_all = segment._estimate_all
 
-    def recording(panel, labels, config, known):
-        rounds.append(labels.copy())
-        return estimate_all(panel, labels, config, known)
+    def recording(panel, labels, config, known, previous):
+        models, states, kept = estimate_all(panel, labels, config, known, previous)
+        rounds.append((labels.copy(), models, kept))
+        return models, states, kept
 
     monkeypatch.setattr(segment, "_estimate_all", recording)
     return rounds
 
 
-def _count_absorbs(monkeypatch):
-    """Record the state of every window that the repair pass absorbs."""
-    states = []
-    absorb = segment._absorb_window
-
-    def counting(labels, realized_scores, state, length, blocked):
-        states.append(state)
-        return absorb(labels, realized_scores, state, length, blocked)
-
-    monkeypatch.setattr(segment, "_absorb_window", counting)
-    return states
-
-
 def test_undersized_state_is_repaired_at_the_refit(three_regime, monkeypatch):
     # four states on three regimes: the first assignment empties state 1,
-    # and the refit gives it back the worst-scoring window of min_size days
+    # which keeps its model from the first iteration
     panel, _ = three_regime
     config = ClusteringConfig(n_clusters=4, gamma=100.0, seed=0, max_iterations=2)
-    min_size = config.resolved_min_cluster_size(len(panel.assets))
     rounds = _record_rounds(monkeypatch)
-    models, _, report = fit(panel, config)
+    models, path, report = fit(panel, config)
     assert report.repairs == 1
     assert len(rounds) == 2
-    window = np.flatnonzero(rounds[1] == 1)
-    assert window.size == min_size
-    assert np.array_equal(window, np.arange(window[0], window[0] + min_size))
-    assert all(m.member_count >= min_size for m in models)
-    assert sum(m.member_count for m in models) == len(panel.dates)
+    assert [kept for _, _, kept in rounds] == [0, 1]
+    assert not np.any(rounds[1][0] == 1)
+    assert models[1] is rounds[0][1][1]
+    assert report.occupancy[1] == np.count_nonzero(path.labels == 1) == 0
 
 
 def test_failed_estimate_is_repaired_at_the_refit(three_regime, monkeypatch):
-    # the first state estimated after the starting round raises once; the
-    # refit absorbs a window into that state and estimates it again
+    # the first state estimated after the starting round raises once, and
+    # keeps its model from the iteration before
     panel, _ = three_regime
     config = ClusteringConfig(n_clusters=3, gamma=0.0, seed=0, max_iterations=2)
-    min_size = config.resolved_min_cluster_size(len(panel.assets))
     estimate = segment.estimate_cluster
     calls, failed = [], []
 
@@ -499,27 +484,31 @@ def test_failed_estimate_is_repaired_at_the_refit(three_regime, monkeypatch):
         return estimate(returns, member_indices, config, label=label)
 
     monkeypatch.setattr(segment, "estimate_cluster", failing_once)
-    absorbed = _count_absorbs(monkeypatch)
-    models, _, report = fit(panel, config)
+    rounds = _record_rounds(monkeypatch)
+    _, _, report = fit(panel, config)
     assert len(failed) == 1
-    assert absorbed == failed
     assert report.repairs == 1
     assert report.iterations == 2
-    assert all(m.member_count >= min_size for m in models)
+    (k,) = failed
+    assert rounds[1][1][k] is rounds[0][1][k]
+    assert [kept for _, _, kept in rounds] == [0, 1]
 
 
 def test_undersized_start_cannot_be_repaired(three_regime):
-    # the first iteration has no earlier scores to pick a window by
+    # the first iteration has no earlier model to keep
     panel, _ = three_regime
     config = ClusteringConfig(n_clusters=3, gamma=100.0, seed=0)
-    min_size = config.resolved_min_cluster_size(len(panel.assets))
     labels0 = np.zeros(len(panel.dates), dtype=int)
     labels0[:3] = 2
-    with pytest.raises(FitError, match=r"cannot repair undersized state\(s\) \[1, 2\]"):
-        segment._fit_once(panel, config, labels0, min_size, None)
+    with pytest.raises(
+        FitError, match=r"state estimation failed: state 1: 0 member\(s\), need at least 11"
+    ) as info:
+        segment._fit_once(panel, config, labels0, None)
+    assert isinstance(info.value.__cause__, EstimationError)
 
 
-def test_estimate_failing_every_attempt_stops_after_two_repairs(three_regime, monkeypatch):
+def test_estimate_failing_at_every_refit_keeps_every_state(three_regime, monkeypatch):
+    # the refit keeps every model, so its assignment repeats the first one
     panel, _ = three_regime
     config = ClusteringConfig(n_clusters=3, gamma=0.0, seed=0)
     estimate = segment.estimate_cluster
@@ -532,11 +521,44 @@ def test_estimate_failing_every_attempt_stops_after_two_repairs(three_regime, mo
         return estimate(returns, member_indices, config, label=label)
 
     monkeypatch.setattr(segment, "estimate_cluster", failing_after_start)
-    absorbed = _count_absorbs(monkeypatch)
-    with pytest.raises(FitError, match="state estimation failed: state .: forced failure") as info:
-        fit(panel, config)
-    assert len(absorbed) == 2
-    assert isinstance(info.value.__cause__, EstimationError)
+    _, _, report = fit(panel, config)
+    assert report.converged
+    assert report.iterations == 2
+    assert report.repairs == config.n_clusters
+
+
+def test_states_emptied_together_keep_their_own_models(three_regime, monkeypatch):
+    # five states on three regimes: the first assignment empties states 1
+    # and 3, whose member sets are then the same (empty) key
+    panel, _ = three_regime
+    config = ClusteringConfig(n_clusters=5, gamma=100.0, seed=0)
+    rounds = _record_rounds(monkeypatch)
+    models, _, _ = fit(panel, config)
+    first = rounds[0][1]
+    labels, refit, kept = rounds[1]
+    assert kept == 2
+    assert not np.any((labels == 1) | (labels == 3))
+    assert not np.array_equal(first[1].mu, first[3].mu)
+    for k in (1, 3):
+        assert np.array_equal(refit[k].mu, first[k].mu)
+        assert np.array_equal(models[k].mu, first[k].mu)
+    # a further round on the same labels keeps them apart too
+    _, states, _ = segment._estimate_all(panel, labels, config, {}, first)
+    again, _, kept = segment._estimate_all(panel, labels, config, states, refit)
+    assert kept == 2
+    for k in (1, 3):
+        assert np.array_equal(again[k].mu, first[k].mu)
+
+
+def test_kept_states_end_a_cycle():
+    # two states stay empty; with their models kept, the refit repeats
+    # the assignment and the loop stops at its fixed point
+    panel, _ = panels.three_regime_panel(seed=1)
+    config = ClusteringConfig(n_clusters=5, gamma=100.0, seed=0, min_cluster_size=95)
+    _, _, report = fit(panel, config)
+    assert report.converged
+    assert report.iterations < 5
+    assert report.repairs > 0
 
 
 # --- state-estimate memo
@@ -611,11 +633,11 @@ def test_refit_reuses_the_states_of_the_iterate_before(three_regime, monkeypatch
     rounds = []
     estimate_all = segment._estimate_all
 
-    def recording(panel, labels, config, known):
+    def recording(panel, labels, config, known, previous):
         before = len(calls)
-        models, keys = estimate_all(panel, labels, config, known)
-        rounds.append((keys, calls[before:]))
-        return models, keys
+        models, states, kept = estimate_all(panel, labels, config, known, previous)
+        rounds.append((list(states), calls[before:]))
+        return models, states, kept
 
     monkeypatch.setattr(segment, "_estimate_all", recording)
     # state 0 starts 40 days into state 1, so the refit moves those two
@@ -623,8 +645,7 @@ def test_refit_reuses_the_states_of_the_iterate_before(three_regime, monkeypatch
     labels0 = truth.copy()
     labels0[200:240] = 0
     config = ClusteringConfig(n_clusters=3, gamma=100.0, seed=0)
-    min_size = config.resolved_min_cluster_size(len(panel.assets))
-    segment._fit_once(panel, config, labels0, min_size, None)
+    segment._fit_once(panel, config, labels0, None)
     assert len(rounds) >= 2
     assert rounds[0][1] == [key[0] for key in rounds[0][0]]
     reused = 0
@@ -638,12 +659,11 @@ def test_refit_reuses_the_states_of_the_iterate_before(three_regime, monkeypatch
 def test_memo_hit_under_another_label_gets_that_label(three_regime, monkeypatch):
     panel, truth = three_regime
     config = ClusteringConfig(n_clusters=3, gamma=100.0, seed=0, max_iterations=1)
-    min_size = config.resolved_min_cluster_size(len(panel.assets))
     memo = {}
-    first, _, _ = segment._fit_once(panel, config, truth, min_size, memo)
+    first, _, _ = segment._fit_once(panel, config, truth, memo)
     calls = _count_estimates(monkeypatch)
     perm = np.array([2, 0, 1])
-    second, _, _ = segment._fit_once(panel, config, perm[truth], min_size, memo)
+    second, _, _ = segment._fit_once(panel, config, perm[truth], memo)
     assert calls == []  # every state came from the memo
     assert [m.label for m in first] == [0, 1, 2]
     assert [m.label for m in second] == [0, 1, 2]
