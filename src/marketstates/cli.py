@@ -8,7 +8,7 @@ A run writes four files into the output directory:
                with diagnostics, even when the fit fails)
   ratio.csv    date,value likelihood-ratio series (when --ratio is given)
 
-main validates the whole configuration, sweep cells included, creates the
+main validates what it runs, the one fit or every sweep cell, creates the
 output directory and loads the panel once, z-scored if --standardize is
 set; run_fit and run_sweep work on that panel in memory. A sweep writes
 each cell's files into its own subdirectory plus sweep.json; if the input
@@ -32,7 +32,7 @@ import numpy as np
 from .analysis import label_agreement, likelihood_ratio, suggest_ratio_states
 from .errors import ConfigError, DataError, EstimationError, FitError
 from .ingest import ReturnsPanel, load_price_panel, standardize_returns, to_log_returns
-from .segment import ClusteringConfig, StatePath, fit
+from .segment import SCORING_MODES, SIMILARITY_MODES, ClusteringConfig, StatePath, fit
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -54,16 +54,16 @@ _HANDLED = tuple(row[0] for row in _EXIT_CODES)
 class RunConfig:
     """Everything one CLI invocation needs."""
 
-    input_path: str
-    output_dir: str
+    input: str
+    output: str
     clustering: ClusteringConfig = field(default_factory=ClusteringConfig)
     ratio: str | None = None  # "auto" or "A,B"
     standardize: bool = False  # z-score the returns once, as loaded
 
     def validate(self) -> None:
-        if not self.input_path:
+        if not self.input:
             raise ConfigError("input path must not be empty")
-        if not self.output_dir:
+        if not self.output:
             raise ConfigError("output directory must not be empty")
         self.clustering.validate()
         _parse_ratio(self.ratio, self.clustering.n_clusters)
@@ -121,23 +121,6 @@ def _models_payload(models, occupancy, assets) -> dict:
     return {"assets": list(assets), "states": states}
 
 
-def _config_payload(config: RunConfig) -> dict:
-    c = config.clustering
-    return {
-        "input": str(config.input_path),
-        "output": str(config.output_dir),
-        "clusters": c.n_clusters,
-        "gamma": float(c.gamma),
-        "mode": c.scoring_mode,
-        "similarity": c.similarity_mode,
-        "standardize": config.standardize,
-        "max_iterations": c.max_iterations,
-        "seed": c.seed,
-        "min_cluster_size": c.min_cluster_size,
-        "ratio": config.ratio,
-    }
-
-
 def _report_failure(exc: Exception, config: RunConfig | None, report_dir: Path | None):
     """Return exc's (exit code, kind) from _EXIT_CODES.
 
@@ -153,7 +136,7 @@ def _report_failure(exc: Exception, config: RunConfig | None, report_dir: Path |
                     "status": "error",
                     "error_kind": kind,
                     "error": str(exc),
-                    "config": _config_payload(config),
+                    "config": asdict(config),
                 },
             )
         except OSError:
@@ -168,7 +151,7 @@ def run_fit(config: RunConfig, returns: ReturnsPanel, *, memo=None) -> StatePath
     memo is fit's memo of starting states, valid for these returns only.
     Returns the fitted path; every failure raises for the caller to map.
     """
-    out_dir = Path(config.output_dir)
+    out_dir = Path(config.output)
     out_dir.mkdir(parents=True, exist_ok=True)
     models, path, report = fit(returns, config.clustering, memo=memo)
 
@@ -190,8 +173,7 @@ def run_fit(config: RunConfig, returns: ReturnsPanel, *, memo=None) -> StatePath
         out_dir / "models.json", _models_payload(models, report.occupancy, returns.assets)
     )
 
-    payload = {"status": "ok", "config": _config_payload(config)}
-    payload.update(asdict(report), standardized=config.standardize)
+    payload = {"status": "ok", "config": asdict(config), **asdict(report)}
     if series is not None:
         payload["ratio_states"] = [int(series.state_a), int(series.state_b)]
     _write_json(out_dir / "report.json", payload)
@@ -199,7 +181,10 @@ def run_fit(config: RunConfig, returns: ReturnsPanel, *, memo=None) -> StatePath
 
 
 def _sweep_cells(config: RunConfig, k_list, gamma_list) -> list:
-    """Validated (directory name, RunConfig) of every (clusters, gamma) cell."""
+    """Validated (directory name, RunConfig) of every (clusters, gamma) cell.
+
+    config's own clusters and gamma run in no cell, so they go unchecked.
+    """
     if not k_list or not gamma_list:
         raise ConfigError("sweep lists must be non-empty")
     cells = []
@@ -210,13 +195,10 @@ def _sweep_cells(config: RunConfig, k_list, gamma_list) -> list:
                 f"sweep cell K={k}, gamma={gamma!r} would write into {name!r}, "
                 "the directory of an earlier cell"
             )
-        cell = replace(
-            config,
-            output_dir=str(Path(config.output_dir) / name),
-            clustering=replace(config.clustering, n_clusters=k, gamma=float(gamma)),
-        )
-        cell.validate()
-        cells.append((name, cell))
+        clustering = replace(config.clustering, n_clusters=k, gamma=float(gamma))
+        cell = replace(config, clustering=clustering)
+        cell.validate()  # on the sweep's own paths, so an empty output still fails
+        cells.append((name, replace(cell, output=str(Path(config.output) / name))))
     return cells
 
 
@@ -243,7 +225,7 @@ def run_sweep(config: RunConfig, returns: ReturnsPanel, cells) -> int:
             code = EXIT_OK
         except _HANDLED as exc:
             labels.append(None)
-            code, kind = _report_failure(exc, cell, Path(cell.output_dir))
+            code, kind = _report_failure(exc, cell, Path(cell.output))
             failures.append((code, f"marketstates: {kind} error: sweep cell {name}: {exc}"))
         k, gamma = cell.clustering.n_clusters, cell.clustering.gamma
         summary.append({"clusters": k, "gamma": gamma, "dir": name, "exit_code": code})
@@ -254,7 +236,7 @@ def run_sweep(config: RunConfig, returns: ReturnsPanel, cells) -> int:
         for a in labels
     ]
     _write_json(
-        Path(config.output_dir) / "sweep.json", {"cells": summary, "agreement": agreement}
+        Path(config.output) / "sweep.json", {"cells": summary, "agreement": agreement}
     )
     if not failures:
         return EXIT_OK
@@ -285,6 +267,8 @@ def _list_of(convert, noun: str):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's flags; defaults and choices of fit settings come from ClusteringConfig."""
+    default = ClusteringConfig()
     parser = _Parser(
         prog="marketstates",
         description="Detect market states in an asset price panel and "
@@ -292,20 +276,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--input", required=True, help="price panel CSV (date column first)")
     parser.add_argument("--output", required=True, help="output directory")
-    parser.add_argument("--clusters", type=int, default=4, help="number of states (default 4)")
-    parser.add_argument("--gamma", type=float, default=100.0, help="switching penalty (default 100)")
+    parser.add_argument("--clusters", type=int, default=default.n_clusters,
+                        help="number of states (default %(default)s)")
+    parser.add_argument("--gamma", type=float, default=default.gamma,
+                        help="switching penalty (default %(default)s)")
     parser.add_argument(
-        "--mode", choices=["likelihood", "mahalanobis"], default="likelihood",
-        help="scoring mode (mahalanobis drops the log-determinant term)",
+        "--mode", choices=SCORING_MODES, default=default.scoring_mode,
+        help="scoring mode; mahalanobis drops the log-determinant term (default %(default)s)",
     )
     parser.add_argument(
-        "--similarity", choices=["signed", "absolute", "squared"], default="signed",
-        help="correlation transform used to build each state's graph",
+        "--similarity", choices=SIMILARITY_MODES, default=default.similarity_mode,
+        help="correlation transform used to build each state's graph (default %(default)s)",
     )
     parser.add_argument("--standardize", action="store_true", help="z-score each asset first")
-    parser.add_argument("--max-iter", type=int, default=50, help="fit iteration budget")
-    parser.add_argument("--seed", type=int, default=0, help="seed for random restarts")
-    parser.add_argument("--min-cluster-size", type=int, default=None,
+    parser.add_argument("--max-iter", type=int, default=default.max_iterations,
+                        help="fit iteration budget (default %(default)s)")
+    parser.add_argument("--seed", type=int, default=default.seed,
+                        help="seed for random restarts (default %(default)s)")
+    parser.add_argument("--min-cluster-size", type=int, default=default.min_cluster_size,
                         help="fewest days a state's model is estimated from; a state "
                         "assigned fewer at a refit keeps its previous model "
                         "(default: assets + 1)")
@@ -332,24 +320,25 @@ def main(argv=None) -> int:
             min_cluster_size=args.min_cluster_size,
         )
         config = RunConfig(
-            input_path=args.input,
-            output_dir=args.output,
+            input=args.input,
+            output=args.output,
             clustering=clustering,
             ratio=args.ratio,
             standardize=args.standardize,
         )
-        config.validate()
-        cells = None
-        if args.sweep_k is not None or args.sweep_gamma is not None:
+        if args.sweep_k is None and args.sweep_gamma is None:
+            config.validate()
+            cells = None
+        else:
             cells = _sweep_cells(
                 config,
                 args.sweep_k if args.sweep_k is not None else [args.clusters],
                 args.sweep_gamma if args.sweep_gamma is not None else [args.gamma],
             )
-        out_dir = Path(config.output_dir)
+        out_dir = Path(config.output)
         out_dir.mkdir(parents=True, exist_ok=True)
         report_dir = out_dir
-        returns = to_log_returns(load_price_panel(config.input_path))
+        returns = to_log_returns(load_price_panel(config.input))
         if config.standardize:
             returns = standardize_returns(returns)
         if cells is not None:

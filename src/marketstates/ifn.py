@@ -165,23 +165,21 @@ def build_tmfg(similarity) -> TmfgGraph:
     w_t = np.ascontiguousarray(w.T)
     del w
 
-    edges = set(itertools.combinations(seed, 2))
     cliques = [seed]
     separators: list = []
-    faces = list(itertools.combinations(seed, 3))
 
-    # per face, in creation order: its vertices, best remaining vertex
-    # (-1 once consumed) and that vertex's gain (-inf once consumed)
+    # per face, in creation order: its sorted vertices, best remaining
+    # vertex (-1 once consumed) and that vertex's gain (-inf once consumed)
     capacity = 3 * n - 8
     face_vertices = np.empty((capacity, 3), dtype=np.intp)
-    face_vertices[:4] = faces
+    face_vertices[:4] = list(itertools.combinations(seed, 3))
     best_vertex = np.full(capacity, -1, dtype=np.intp)
     best_gain = np.full(capacity, -np.inf)
     placed = np.zeros(n, dtype=bool)
     placed[list(seed)] = True
     stale = np.arange(4)
 
-    for _ in range(n - 4):
+    for step in range(n - 4):
         a, b, c = face_vertices[stale].T
         gains = w_t[a]
         gains += w_t[b]
@@ -194,25 +192,23 @@ def build_tmfg(similarity) -> TmfgGraph:
         top = np.flatnonzero(best_gain == best_gain.max())
         fi = int(top[np.argmin(best_vertex[top])])
         v = int(best_vertex[fi])
-        face = faces[fi]
+        face = tuple(face_vertices[fi].tolist())
 
-        for u in face:
-            edges.add((min(u, v), max(u, v)))
         cliques.append(tuple(sorted((*face, v))))
         separators.append(face)
         best_vertex[fi] = -1
         best_gain[fi] = -np.inf
         placed[v] = True
 
-        k = len(faces)
-        new_faces = [tuple(sorted((x, y, v))) for x, y in itertools.combinations(face, 2)]
-        faces.extend(new_faces)
-        face_vertices[k : k + 3] = new_faces
+        k = 4 + 3 * step
+        face_vertices[k : k + 3] = [sorted((x, y, v)) for x, y in itertools.combinations(face, 2)]
         # the new faces count as stale alongside those that lost v
         best_vertex[k : k + 3] = v
         stale = np.flatnonzero(best_vertex[: k + 3] == v)
 
-    return TmfgGraph(n=n, edges=frozenset(edges), cliques=cliques, separators=separators)
+    # every edge lies in a clique, and each clique is sorted, so i < j
+    edges = frozenset(pair for clique in cliques for pair in itertools.combinations(clique, 2))
+    return TmfgGraph(n=n, edges=edges, cliques=cliques, separators=separators)
 
 
 def _blocks(cov: np.ndarray, vertex_sets, width: int) -> tuple:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DataError
 
-_ISO_DATE = re.compile(r"^\d{4}-\d{2}-\d{2}$")
+_ISO_DATE = re.compile(r"^[0-9]{4}-[0-9]{2}-[0-9]{2}$")
 _DATE_COLUMN = "date"
 _MIN_ROWS = 2
 # the smallest panel the downstream graph builder accepts

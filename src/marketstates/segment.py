@@ -132,7 +132,6 @@ class FitReport:
     objective_decreased: bool
     repairs: int
     best_iteration: int
-    restarts_used: int
 
 
 def score_states(returns: ReturnsPanel, models, mode: str = "likelihood") -> ScoreMatrix:
@@ -214,14 +213,18 @@ def solve_path(scores: ScoreMatrix, gamma: float) -> StatePath:
     return StatePath(labels=labels, objective=objective, switches=switches)
 
 
-def _similarity_matrix(rows: np.ndarray, mode: str) -> np.ndarray:
-    std = rows.std(axis=0)
-    flat = np.flatnonzero(~(std > 0.0))
+def _similarity_matrix(cov: np.ndarray, mode: str) -> np.ndarray:
+    """mode's transform of cov's correlation, equal to np.corrcoef's bit for bit."""
+    variance = np.diag(cov)
+    flat = np.flatnonzero(~(variance > 0.0))
     if flat.size:
         raise EstimationError(
             f"degenerate covariance: asset column {flat[0]} has zero variance in cluster"
         )
-    corr = np.corrcoef(rows, rowvar=False)
+    std = np.sqrt(variance)
+    corr = cov / std[:, None]
+    corr /= std[None, :]
+    np.clip(corr, -1.0, 1.0, out=corr)
     if mode == "absolute":
         return np.abs(corr)
     if mode == "squared":
@@ -248,7 +251,7 @@ def estimate_cluster(
     rows = returns.values[idx]
     mu = rows.mean(axis=0)
     cov = np.cov(rows, rowvar=False, ddof=1)
-    graph = build_tmfg(_similarity_matrix(rows, config.similarity_mode))
+    graph = build_tmfg(_similarity_matrix(cov, config.similarity_mode))
     precision = logo_precision(cov, graph)
     return ClusterModel(
         label=label, mu=mu, precision=precision, graph=graph, member_count=int(idx.size)
@@ -346,7 +349,6 @@ def _fit_once(panel: ReturnsPanel, config: ClusteringConfig, labels, memo):
         objective_decreased=decreased,
         repairs=repairs,
         best_iteration=best_iteration,
-        restarts_used=config.restarts,
     )
     return models, path, report
 

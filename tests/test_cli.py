@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -69,7 +70,7 @@ def test_fit_writes_all_outputs(price_csv, tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["status"] == "ok"
     assert report["iterations"] >= 1
-    assert report["config"]["clusters"] == 3
+    assert report["config"]["clustering"]["n_clusters"] == 3
     assert report["ratio_states"] and len(report["ratio_states"]) == 2
 
     ratio = (out / "ratio.csv").read_text().splitlines()
@@ -111,9 +112,18 @@ def test_defaults_accepted(price_csv, tmp_path):
     out = tmp_path / "defaults"
     assert _run(["--input", price_csv, "--output", out]) == 0
     report = json.loads((out / "report.json").read_text())
-    assert report["config"]["clusters"] == 4
-    assert report["config"]["gamma"] == 100.0
+    assert report["config"]["clustering"]["n_clusters"] == 4
+    assert report["config"]["clustering"]["gamma"] == 100.0
     assert not (out / "ratio.csv").exists()
+    # the config block is the run's RunConfig, and each setting appears once
+    assert report["config"] == {
+        "input": str(price_csv),
+        "output": str(out),
+        "clustering": asdict(segment.ClusteringConfig()),
+        "ratio": None,
+        "standardize": False,
+    }
+    assert not {"standardized", "restarts_used"} & report.keys()
 
 
 def test_explicit_ratio_pair(price_csv, tmp_path):
@@ -278,6 +288,26 @@ def test_sweep_gamma_only_uses_base_clusters(price_csv, tmp_path):
     assert {p.name for p in out.iterdir()} == {"K3_gamma50", "K3_gamma100", "sweep.json"}
 
 
+def test_sweep_validates_its_cells_not_the_base_config(price_csv, tmp_path, capsys):
+    # no cell runs the default --clusters 4, so --ratio 0,5 is checked at K 6 and 7
+    base = ["--input", price_csv, "--max-iter", 2]
+    out = tmp_path / "ratiosweep"
+    assert _run(base + ["--output", out, "--ratio", "0,5", "--sweep-k", "6,7"]) == 0
+    cells = json.loads((out / "sweep.json").read_text())["cells"]
+    assert [cell["clusters"] for cell in cells] == [6, 7]
+    for cell in cells:
+        assert json.loads((out / cell["dir"] / "report.json").read_text())["ratio_states"] == [0, 5]
+    k1 = ["--output", tmp_path / "k1sweep", "--clusters", 1, "--sweep-k", "2,3"]
+    assert _run(base + k1) == 0
+    # a single fit runs the base config itself, and the sweep's paths still count
+    for extra in (["--output", tmp_path / "one", "--clusters", 1],
+                  ["--output", tmp_path / "one", "--ratio", "0,5"],
+                  ["--output", "", "--sweep-k", "2,3"]):
+        assert _run(base + extra) == 1, extra
+        _one_stderr_line(capsys)
+    assert not (tmp_path / "one").exists()
+
+
 def test_sweep_rejects_empty_list(price_csv, tmp_path, capsys):
     assert _run(
         ["--input", price_csv, "--output", tmp_path / "x", "--sweep-k", ""]
@@ -319,7 +349,7 @@ def test_sweep_standardizes_the_panel_once(price_csv, tmp_path, monkeypatch):
     assert code == 0
     assert calls == [(600, 10)]
     report = json.loads((out / "K3_gamma100" / "report.json").read_text())
-    assert report["standardized"] is True and report["config"]["standardize"] is True
+    assert report["config"]["standardize"] is True
 
 
 @pytest.fixture(scope="module")

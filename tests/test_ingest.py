@@ -160,6 +160,9 @@ def test_standardize_rejects_a_single_date():
         ("date,A,B,C,D\n2021-02-28,1,1,1,1\n2021-02-29,2,2,2,2\n",
          "line 3: date '2021-02-29' is not a calendar date"),
         ("date,A,B,C,D\n20200101,1,1,1,1\n2020-01-02,2,2,2,2\n", "ISO-8601"),
+        # Arabic-Indic digits: a Unicode digit is not an ISO-8601 one
+        ("date,A,B,C,D\n\u0662\u0660\u0662\u0660-\u0660\u0661-\u0660\u0662,1,1,1,1\n"
+         "2020-01-03,2,2,2,2\n", "is not ISO-8601"),
         ("date,A,B,C,D\n2020-01-01,1,1,1\n2020-01-02,2,2,2,2\n", "cells"),
         ("", "empty"),
     ],
