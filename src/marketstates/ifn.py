@@ -21,8 +21,8 @@ logo_precision and logdet_precision), so results equal those of a
 block-by-block loop bit for bit.
 
 Everything here runs on numpy alone. A SparsePrecision holds J as its
-sorted upper-triangle entries; scipy is imported only when a caller asks
-for the CSR form through SparsePrecision.matrix.
+sorted upper-triangle entries; scipy, a test dependency, is imported only
+when a caller asks for the CSR form through SparsePrecision.matrix.
 """
 
 import itertools
@@ -86,7 +86,10 @@ class SparsePrecision:
     @cached_property
     def matrix(self):
         """J as a full symmetric scipy CSR matrix, built on first access."""
-        import scipy.sparse as sp
+        try:
+            import scipy.sparse as sp
+        except ImportError as exc:
+            raise ImportError("SparsePrecision.matrix needs scipy: pip install marketstates[test]") from exc
 
         i, j = self.indices()
         off = i != j

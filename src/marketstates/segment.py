@@ -7,7 +7,8 @@ switching penalty gamma is charged whenever consecutive assignments
 differ. Because the penalty only couples neighboring time points, the
 optimal assignment given fixed states is found exactly by dynamic
 programming; fitting alternates that assignment step with per-state
-re-estimation until the labels stop changing.
+re-estimation until the labels stop changing; a state keeps its old
+model if the new one scores the state's days worse.
 
 Scoring multiplies by each J as a dense array built from the precision's
 upper-triangle entries, so fitting imports numpy only.
@@ -25,8 +26,6 @@ from .ingest import ReturnsPanel
 SCORING_MODES = ("likelihood", "mahalanobis")
 SIMILARITY_MODES = ("signed", "absolute", "squared")
 
-_DECREASE_TOL = 1e-9
-
 
 def _is_int(value) -> bool:
     # bool is an int subclass, but True is no iteration budget or cluster count
@@ -38,11 +37,11 @@ class ClusteringConfig:
     """Fit settings.
 
     min_cluster_size is the fewest days a state's model is estimated from;
-    a state assigned fewer at a refit keeps its previous model. It
-    defaults to n_assets + 1 (at least 5) when left as None. gamma is in
-    log-likelihood units. restarts adds that many random contiguous-block
-    initializations on top of the deterministic equal-block one, keeping
-    the best final objective.
+    fit says when a state keeps its previous model at a refit, as one
+    assigned fewer does. It defaults to n_assets + 1 (at least 5) when left
+    as None. gamma is in log-likelihood units. restarts adds that many
+    random contiguous-block initializations on top of the deterministic
+    equal-block one, keeping the best final objective.
     """
 
     n_clusters: int = 4
@@ -129,9 +128,8 @@ class FitReport:
     switches: int
     occupancy: list
     converged: bool
-    objective_decreased: bool
     repairs: int
-    best_iteration: int
+    best_iteration: int  # always iterations - 1: the last iterate is the best
 
 
 def score_states(returns: ReturnsPanel, models, mode: str = "likelihood") -> ScoreMatrix:
@@ -273,13 +271,12 @@ def _estimate_all(panel, labels, config: ClusteringConfig, known: dict, previous
 
     known maps (member-index bytes, similarity mode) to a model and gains
     every state estimated here. A state whose estimate raises keeps its
-    model in previous, the iterate before; with previous None, it raises.
-    A member set can come back under another label, so the label is set on
-    the way out. Returns the models in label order, this iterate's states
-    keyed as in known, and how many were kept. Kept states get no key: it
-    would not be their members', and two emptied states would share it.
+    model object in previous, the iterate before, and its key is None, as
+    two emptied states would share it; with previous None, it raises. A
+    member set can come back under another label, so a copy takes the
+    label on the way out. Returns the models and keys in label order.
     """
-    models, states, kept = [], {}, 0
+    models, keys = [], []
     for k in range(config.n_clusters):
         idx = np.flatnonzero(labels == k)
         key = (idx.tobytes(), config.similarity_mode)
@@ -291,64 +288,61 @@ def _estimate_all(panel, labels, config: ClusteringConfig, known: dict, previous
                 if previous is None:
                     raise
                 models.append(previous[k])
-                kept += 1
+                keys.append(None)
                 continue
             known[key] = model
-        states[key] = model
         models.append(replace(model, label=k))
-    return models, states, kept
+        keys.append(key)
+    return models, keys
 
 
 def _fit_once(panel: ReturnsPanel, config: ClusteringConfig, labels, memo):
     # The starting states come from and go into memo, if given. A later
-    # iteration looks only among the states of the current iterate, which
-    # the fit holds anyway, so refits keep no extra models alive.
+    # iteration looks only among the current models, each keyed by its
+    # state's days, so refits keep no extra models alive.
     known = {} if memo is None else memo
-    models = None
-
+    models = scores = None
     trajectory: list = []
     repairs = 0
     converged = False
-    decreased = False
-    best = None  # (objective, models, path, iteration)
 
     for _ in range(config.max_iterations):
         # At a refit, a state whose estimate fails (too few members
         # included) keeps its model; the first iteration has none to keep.
         try:
-            models, known, kept = _estimate_all(panel, labels, config, known, models)
+            refit, keys = _estimate_all(panel, labels, config, known, models)
         except EstimationError as exc:
             raise FitError(f"state estimation failed: {exc}") from exc
-        repairs += kept
-
-        scores = score_states(panel, models, config.scoring_mode)
+        fresh = score_states(panel, refit, config.scoring_mode)
+        if models is not None:
+            # Graph re-selection and the ddof=1 covariance do not maximize
+            # the score: a state keeps its old model and column if the new
+            # one scores the state's days worse.
+            for k in range(config.n_clusters):
+                days = labels == k
+                if fresh.values[days, k].sum() < scores.values[days, k].sum():
+                    refit[k] = models[k]
+                    fresh.values[:, k] = scores.values[:, k]
+            # kept states are the previous objects; reused ones are copies
+            repairs += sum(new is old for new, old in zip(refit, models))
+        models, scores = refit, fresh
+        known = {key: model for key, model in zip(keys, models) if key is not None}
         path = solve_path(scores, config.gamma)
         trajectory.append(path.objective)
-
-        if best is None or path.objective > best[0]:
-            best = (path.objective, models, path, len(trajectory) - 1)
-
-        if len(trajectory) >= 2 and path.objective < trajectory[-2] - _DECREASE_TOL:
-            # Graph re-selection can lower the objective; stop and keep
-            # the best iterate seen so far.
-            decreased = True
-            break
         if np.array_equal(path.labels, labels):
             converged = True
             break
         labels = path.labels.copy()
 
-    objective, models, path, best_iteration = best
     report = FitReport(
         iterations=len(trajectory),
         objective_trajectory=trajectory,
-        objective=objective,
+        objective=path.objective,
         switches=path.switches,
         occupancy=np.bincount(path.labels, minlength=config.n_clusters).tolist(),
         converged=converged,
-        objective_decreased=decreased,
         repairs=repairs,
-        best_iteration=best_iteration,
+        best_iteration=len(trajectory) - 1,
     )
     return models, path, report
 
@@ -358,16 +352,17 @@ def fit(returns: ReturnsPanel, config: ClusteringConfig, *, memo=None):
 
     Alternates exact penalized assignment (solve_path) with per-state
     re-estimation (estimate_cluster) until the label sequence stops
-    changing, the iteration budget runs out, or the objective drops after
-    a graph re-selection; the best-objective iterate is returned either
-    way. Deterministic for a given (panel, config, seed). The panel is
+    changing or the iteration budget runs out, and returns the last
+    iterate. Deterministic for a given (panel, config, seed). The panel is
     fitted as given: to fit z-scores, pass standardize_returns(returns).
 
-    min_cluster_size is the fewest days a state's model is estimated
-    from: at a refit, a state assigned fewer, or whose estimate fails
-    otherwise, keeps its previous model and may end with fewer days, even
-    none. report.repairs counts kept states over all iterations. A failed
-    estimate at the first iteration raises FitError.
+    At a refit, a state keeps its previous model if it is assigned fewer
+    than min_cluster_size days, its estimate fails otherwise, or the new
+    model scores the state's days lower than the old one did, so neither
+    step can lower report.objective_trajectory (up to float rounding). A
+    kept state may end with fewer days, even none. report.repairs counts
+    kept states over all refits, not states reusing an unchanged member
+    set. A failed estimate at the first iteration raises FitError.
 
     Each start runs the loop to its end: the equal-block labels first,
     then config.restarts random contiguous partitions (at least

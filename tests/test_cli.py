@@ -496,17 +496,43 @@ print(json.dumps({"import": after_import, "main": loaded(), "codes": codes}))
 """
 
 
-def test_cli_never_imports_scipy(price_csv, tmp_path):
-    # pytest's own process has scipy loaded already, so a fresh one runs it
+def _fresh_python(script: str, *args, check: bool = True):
+    """Run script in a new interpreter that imports this checkout's package."""
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    done = subprocess.run(
-        [sys.executable, "-c", _NO_SCIPY_SCRIPT, str(price_csv), str(tmp_path)],
-        capture_output=True, text=True, env=env, check=True,
+    return subprocess.run(
+        [sys.executable, "-c", script, *map(str, args)],
+        capture_output=True, text=True, env=env, check=check,
     )
+
+
+def test_cli_never_imports_scipy(price_csv, tmp_path):
+    # pytest's own process has scipy loaded already, so a fresh one runs it
+    done = _fresh_python(_NO_SCIPY_SCRIPT, price_csv, tmp_path)
     result = json.loads(done.stdout.splitlines()[-1])
     assert result == {"import": [], "main": [], "codes": [0, 0]}, result
+
+
+_SCIPY_MISSING_SCRIPT = """
+import sys
+sys.modules["scipy"] = None  # every import of scipy now raises ImportError
+from marketstates.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_cli_runs_without_scipy(price_csv, tmp_path):
+    # scipy is a test dependency only, so an install without it must fit
+    out = tmp_path / "out"
+    done = _fresh_python(
+        _SCIPY_MISSING_SCRIPT, "--input", price_csv, "--output", out,
+        "--clusters", "3", "--ratio", "auto", check=False,
+    )
+    assert done.returncode == 0, done.stderr
+    assert sorted(p.name for p in out.iterdir()) == [
+        "models.json", "ratio.csv", "report.json", "states.csv",
+    ]
 
 
 def _csr_models_payload(models, occupancy, assets):

@@ -5,6 +5,7 @@ planarity; the package itself never imports it.
 """
 
 import itertools
+import sys
 import tracemalloc
 
 import networkx as nx
@@ -557,6 +558,14 @@ def test_validation_makes_one_float_copy(rng):
         tracemalloc.stop()
     assert out.shape == (n, n)
     assert peak < 2 * n * n * 8, peak
+
+
+def test_csr_form_without_scipy_names_the_extra(rng, monkeypatch):
+    sp = logo_precision(panels.random_spd(rng, 6), build_tmfg(panels.random_similarity(rng, 6)))
+    monkeypatch.setitem(sys.modules, "scipy.sparse", None)
+    with pytest.raises(ImportError, match=r"pip install marketstates\[test\]$") as info:
+        sp.matrix
+    assert len(str(info.value).splitlines()) == 1
 
 
 def test_precision_arrays_match_csr(rng):

@@ -1,5 +1,5 @@
 import itertools
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -13,6 +13,7 @@ from marketstates.errors import ConfigError, EstimationError, FitError
 from marketstates.ifn import build_tmfg, logo_precision
 from marketstates.ingest import ReturnsPanel, standardize_returns
 from marketstates.segment import (
+    SCORING_MODES,
     ClusteringConfig,
     ClusterModel,
     ScoreMatrix,
@@ -340,12 +341,13 @@ def test_fit_recovers_three_regimes(three_regime):
 
 
 def test_fit_objective_is_best_of_trajectory(three_regime):
+    # the trajectory never falls, so the last iterate is the best one
     panel, _ = three_regime
     _, _, report = fit(panel, ClusteringConfig(n_clusters=3, gamma=100.0, seed=0))
+    assert report.objective == report.objective_trajectory[-1]
     assert report.objective == pytest.approx(max(report.objective_trajectory))
     assert report.iterations == len(report.objective_trajectory)
-    assert 0 <= report.best_iteration < report.iterations
-    assert report.objective_trajectory[report.best_iteration] == report.objective
+    assert report.best_iteration == report.iterations - 1
 
 
 def test_gamma_zero_switches_more(three_regime):
@@ -435,29 +437,45 @@ def test_fit_degenerate_panel_fails_cleanly():
 
 
 def test_monotone_improvement_between_iterations(three_regime):
-    # each E-step solves the penalized problem exactly for the current
-    # models, so the trajectory can only drop when graphs are re-selected;
-    # the fit must then stop and keep the best iterate
+    # the assignment is exact for fixed models, and a refit keeps a state's
+    # old model when the new one scores the state's days worse, so no step
+    # falls beyond rounding in either mode; mahalanobis K=2 falls without
+    # the rule
     panel, _ = three_regime
-    _, _, report = fit(panel, ClusteringConfig(n_clusters=3, gamma=100.0, seed=0))
-    best = max(report.objective_trajectory)
-    assert report.objective == pytest.approx(best)
-    if report.objective_decreased:
-        assert report.objective_trajectory[-1] < best
+    steps_seen = 0
+    for mode in SCORING_MODES:
+        for k in (2, 4):
+            config = ClusteringConfig(n_clusters=k, gamma=100.0, seed=0, scoring_mode=mode)
+            _, _, report = fit(panel, config)
+            assert report.converged, (mode, k)
+            trajectory = report.objective_trajectory
+            for before, after in zip(trajectory, trajectory[1:]):
+                assert after >= before - 1e-9 * abs(before), (mode, k, trajectory)
+            steps_seen += len(trajectory) - 1
+    assert steps_seen >= 4
 
 
 # --- states kept at a refit
 
 
+def _kept(models, previous) -> int:
+    """How many states hold their previous model object."""
+    return sum(new is old for new, old in zip(models, previous or ()))
+
+
 def _record_rounds(monkeypatch):
-    """Record (labels, models, kept) of every re-estimation round fit makes."""
+    """Record (labels, models, kept) of every re-estimation round fit makes.
+
+    models is the round's list as re-estimation returned it, before the
+    refit's score comparison; kept counts its states whose estimate failed.
+    """
     rounds = []
     estimate_all = segment._estimate_all
 
     def recording(panel, labels, config, known, previous):
-        models, states, kept = estimate_all(panel, labels, config, known, previous)
-        rounds.append((labels.copy(), models, kept))
-        return models, states, kept
+        models, keys = estimate_all(panel, labels, config, known, previous)
+        rounds.append((labels.copy(), list(models), _kept(models, previous)))
+        return models, keys
 
     monkeypatch.setattr(segment, "_estimate_all", recording)
     return rounds
@@ -495,13 +513,17 @@ def test_failed_estimate_is_repaired_at_the_refit(three_regime, monkeypatch):
 
     monkeypatch.setattr(segment, "estimate_cluster", failing_once)
     rounds = _record_rounds(monkeypatch)
-    _, _, report = fit(panel, config)
+    models, _, report = fit(panel, config)
     assert len(failed) == 1
-    assert report.repairs == 1
     assert report.iterations == 2
     (k,) = failed
     assert rounds[1][1][k] is rounds[0][1][k]
     assert [kept for _, _, kept in rounds] == [0, 1]
+    # one refit, so repairs counts the states that end on their first
+    # model: the failed one and those whose new model scored worse
+    kept = [j for j in range(config.n_clusters) if models[j] is rounds[0][1][j]]
+    assert k in kept
+    assert report.repairs == len(kept)
 
 
 def test_undersized_start_cannot_be_repaired(three_regime):
@@ -553,11 +575,77 @@ def test_states_emptied_together_keep_their_own_models(three_regime, monkeypatch
         assert np.array_equal(refit[k].mu, first[k].mu)
         assert np.array_equal(models[k].mu, first[k].mu)
     # a further round on the same labels keeps them apart too
-    _, states, _ = segment._estimate_all(panel, labels, config, {}, first)
-    again, _, kept = segment._estimate_all(panel, labels, config, states, refit)
-    assert kept == 2
+    known = {}
+    segment._estimate_all(panel, labels, config, known, first)
+    again, _ = segment._estimate_all(panel, labels, config, known, refit)
+    assert _kept(again, refit) == 2
     for k in (1, 3):
         assert np.array_equal(again[k].mu, first[k].mu)
+
+
+def test_refit_scoring_its_days_worse_is_rejected(three_regime, monkeypatch):
+    # the first model estimated at the refit has its mean shifted 5 sigma
+    # off its days; its state keeps the model and score column it had
+    panel, _ = three_regime
+    config = ClusteringConfig(n_clusters=2, gamma=100.0, seed=0, max_iterations=2)
+    estimate = segment.estimate_cluster
+    calls, worsened = [], []
+
+    def worse_once(returns, member_indices, config, label=0):
+        model = estimate(returns, member_indices, config, label=label)
+        calls.append(label)
+        if len(calls) == config.n_clusters + 1:
+            worsened.append(label)
+            sigma = returns.values[member_indices].std(axis=0)
+            return replace(model, mu=model.mu + 5.0 * sigma)
+        return model
+
+    monkeypatch.setattr(segment, "estimate_cluster", worse_once)
+    rounds = _record_rounds(monkeypatch)
+    models, path, report = fit(panel, config)
+    (k,) = worsened
+    assert len(rounds) == report.iterations == 2
+    assert rounds[1][1][k] is not rounds[0][1][k]
+    assert models[k] is rounds[0][1][k]
+    assert report.repairs == 1
+    first, second = report.objective_trajectory
+    assert second >= first
+    # the restored column is the one a fresh scoring of the kept model gives
+    rescored = solve_path(score_states(panel, models), config.gamma)
+    assert report.objective == rescored.objective == path.objective
+    assert np.array_equal(rescored.labels, path.labels)
+
+
+def test_rejected_days_that_recur_reuse_the_kept_model(three_regime, monkeypatch):
+    # every refit estimate of state 0 is shifted 5 sigma and rejected; when
+    # its days come back at the next iterate they get the model it kept,
+    # neither the rejected one nor a second count in repairs
+    panel, _ = three_regime
+    config = ClusteringConfig(n_clusters=4, gamma=0.0, seed=0)
+    estimate = segment.estimate_cluster
+    calls, worsened = [], {}
+
+    def worse_for_state_0(returns, member_indices, config, label=0):
+        model = estimate(returns, member_indices, config, label=label)
+        calls.append(label)
+        if len(calls) > config.n_clusters and label == 0:
+            sigma = returns.values[member_indices].std(axis=0)
+            model = replace(model, mu=model.mu + 5.0 * sigma)
+            worsened[np.asarray(member_indices).tobytes()] = model.mu
+        return model
+
+    monkeypatch.setattr(segment, "estimate_cluster", worse_for_state_0)
+    rounds = _record_rounds(monkeypatch)
+    _, _, report = fit(panel, config)
+    assert report.converged
+    assert report.repairs == len(worsened) > 0
+    recurring = 0
+    for (before, _, _), (labels, models, _) in zip(rounds[1:], rounds[2:]):
+        days = np.flatnonzero(labels == 0)
+        if days.tobytes() in worsened and np.array_equal(days, np.flatnonzero(before == 0)):
+            recurring += 1
+            assert not np.array_equal(models[0].mu, worsened[days.tobytes()])
+    assert recurring > 0
 
 
 def test_kept_states_end_a_cycle():
@@ -644,9 +732,9 @@ def test_refit_reuses_the_states_of_the_iterate_before(three_regime, monkeypatch
 
     def recording(panel, labels, config, known, previous):
         before = len(calls)
-        models, states, kept = estimate_all(panel, labels, config, known, previous)
-        rounds.append((list(states), calls[before:]))
-        return models, states, kept
+        models, keys = estimate_all(panel, labels, config, known, previous)
+        rounds.append(([key for key in keys if key is not None], calls[before:]))
+        return models, keys
 
     monkeypatch.setattr(segment, "_estimate_all", recording)
     # state 0 starts 40 days into state 1, so the refit moves those two
