@@ -292,7 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--max-iter", type=int, default=default.max_iterations,
                         help="fit iteration budget (default %(default)s)")
     parser.add_argument("--seed", type=int, default=default.seed,
-                        help="seed for random restarts (default %(default)s)")
+                        help="seed for random restarts; the CLI runs none, so it "
+                        "only reaches report.json (default %(default)s)")
     parser.add_argument("--min-cluster-size", type=int, default=default.min_cluster_size,
                         help="fewest days a state's model is estimated from; a state "
                         "assigned fewer at a refit keeps its previous model "

@@ -28,8 +28,9 @@ SIMILARITY_MODES = ("signed", "absolute", "squared")
 
 
 def _is_int(value) -> bool:
-    # bool is an int subclass, but True is no iteration budget or cluster count
-    return isinstance(value, int) and not isinstance(value, bool)
+    # numpy integers count; bool is Integral, but True is no iteration
+    # budget or cluster count (np.bool_ is not Integral)
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -38,7 +39,8 @@ class ClusteringConfig:
 
     min_cluster_size is the fewest days a state's model is estimated from;
     fit says when a state keeps its previous model at a refit, as one
-    assigned fewer does. It defaults to n_assets + 1 (at least 5) when left
+    assigned fewer does, and report.repairs counts that once per change
+    of the state's days. It defaults to n_assets + 1 (at least 5) when left
     as None. gamma is in log-likelihood units. restarts adds that many
     random contiguous-block initializations on top of the deterministic
     equal-block one, keeping the best final objective.
@@ -138,12 +140,13 @@ def score_states(returns: ReturnsPanel, models, mode: str = "likelihood") -> Sco
     likelihood mode: -0.5 d' J d + 0.5 log |J| with d = x_t - mu_k;
     mahalanobis mode drops the log-determinant term. Each J is scattered
     into a dense n x n array for the product d @ J, one code path for
-    every n.
+    every n. A column depends on its own model only, bit for bit, so a
+    refit scores just the states it re-estimated.
     """
     if mode not in SCORING_MODES:
         raise ConfigError(f"scoring mode must be one of {SCORING_MODES}, got {mode!r}")
-    if len(models) < 2:
-        raise ValueError(f"need at least 2 state models, got {len(models)}")
+    if not models:
+        raise ValueError("need at least 1 state model, got none")
     x = returns.values
     t_len, n = x.shape
     values = np.empty((t_len, len(models)))
@@ -266,73 +269,58 @@ def _starts(t_len: int, config: ClusteringConfig, min_size: int):
         yield np.repeat(np.arange(k), lengths)
 
 
-def _estimate_all(panel, labels, config: ClusteringConfig, known: dict, previous):
-    """One model per state, reusing those whose member set known holds.
-
-    known maps (member-index bytes, similarity mode) to a model and gains
-    every state estimated here. A state whose estimate raises keeps its
-    model object in previous, the iterate before, and its key is None, as
-    two emptied states would share it; with previous None, it raises. A
-    member set can come back under another label, so a copy takes the
-    label on the way out. Returns the models and keys in label order.
-    """
-    models, keys = [], []
+def _fit_once(panel: ReturnsPanel, config: ClusteringConfig, labels, memo):
+    # The starting states come from and go into memo, if given; a
+    # member set can come back under another label, so a copy takes the
+    # label. Refits keep no model beyond the current ones.
+    memo = {} if memo is None else memo
+    models = []
     for k in range(config.n_clusters):
         idx = np.flatnonzero(labels == k)
         key = (idx.tobytes(), config.similarity_mode)
-        model = known.get(key)
-        if model is None:
+        if key not in memo:
             try:
-                model = estimate_cluster(panel, idx, config, label=k)
-            except EstimationError:
-                if previous is None:
-                    raise
-                models.append(previous[k])
-                keys.append(None)
-                continue
-            known[key] = model
-        models.append(replace(model, label=k))
-        keys.append(key)
-    return models, keys
-
-
-def _fit_once(panel: ReturnsPanel, config: ClusteringConfig, labels, memo):
-    # The starting states come from and go into memo, if given. A later
-    # iteration looks only among the current models, each keyed by its
-    # state's days, so refits keep no extra models alive.
-    known = {} if memo is None else memo
-    models = scores = None
+                memo[key] = estimate_cluster(panel, idx, config, label=k)
+            except EstimationError as exc:
+                raise FitError(f"state estimation failed: {exc}") from exc
+        models.append(replace(memo[key], label=k))
+    scores = score_states(panel, models, config.scoring_mode)
     trajectory: list = []
     repairs = 0
     converged = False
 
-    for _ in range(config.max_iterations):
-        # At a refit, a state whose estimate fails (too few members
-        # included) keeps its model; the first iteration has none to keep.
-        try:
-            refit, keys = _estimate_all(panel, labels, config, known, models)
-        except EstimationError as exc:
-            raise FitError(f"state estimation failed: {exc}") from exc
-        fresh = score_states(panel, refit, config.scoring_mode)
-        if models is not None:
-            # Graph re-selection and the ddof=1 covariance do not maximize
-            # the score: a state keeps its old model and column if the new
-            # one scores the state's days worse.
-            for k in range(config.n_clusters):
-                days = labels == k
-                if fresh.values[days, k].sum() < scores.values[days, k].sum():
-                    refit[k] = models[k]
-                    fresh.values[:, k] = scores.values[:, k]
-            # kept states are the previous objects; reused ones are copies
-            repairs += sum(new is old for new, old in zip(refit, models))
-        models, scores = refit, fresh
-        known = {key: model for key, model in zip(keys, models) if key is not None}
+    while True:
         path = solve_path(scores, config.gamma)
         trajectory.append(path.objective)
         if np.array_equal(path.labels, labels):
             converged = True
             break
-        labels = path.labels.copy()
+        if len(trajectory) == config.max_iterations:
+            break
+        # Refit the states whose days changed. Graph re-selection and the
+        # ddof=1 covariance do not maximize the score, so a new model
+        # replaces the old one and its column only if it scores the
+        # state's days no worse; a failed estimate (too few days
+        # included) or a rejected one is a repair.
+        refit = {}
+        for k in range(config.n_clusters):
+            days = path.labels == k
+            if np.array_equal(days, labels == k):
+                continue
+            try:
+                refit[k] = estimate_cluster(panel, np.flatnonzero(days), config, label=k)
+            except EstimationError:
+                repairs += 1
+        if refit:
+            fresh = score_states(panel, list(refit.values()), config.scoring_mode).values
+            for j, (k, model) in enumerate(refit.items()):
+                days = path.labels == k
+                if fresh[days, j].sum() < scores.values[days, k].sum():
+                    repairs += 1
+                else:
+                    models[k] = model
+                    scores.values[:, k] = fresh[:, j]
+        labels = path.labels
 
     report = FitReport(
         iterations=len(trajectory),
@@ -356,20 +344,22 @@ def fit(returns: ReturnsPanel, config: ClusteringConfig, *, memo=None):
     iterate. Deterministic for a given (panel, config, seed). The panel is
     fitted as given: to fit z-scores, pass standardize_returns(returns).
 
-    At a refit, a state keeps its previous model if it is assigned fewer
-    than min_cluster_size days, its estimate fails otherwise, or the new
-    model scores the state's days lower than the old one did, so neither
-    step can lower report.objective_trajectory (up to float rounding). A
-    kept state may end with fewer days, even none. report.repairs counts
-    kept states over all refits, not states reusing an unchanged member
-    set. A failed estimate at the first iteration raises FitError.
+    A refit re-estimates and rescores only the states whose days
+    changed. Such a state keeps its previous model if it is assigned
+    fewer than min_cluster_size days, its estimate fails otherwise, or the
+    new model scores the state's days lower than the old one did, so
+    neither step can lower report.objective_trajectory (up to float
+    rounding). A kept state may end with fewer days, even none.
+    report.repairs counts the kept models, one for each change of a
+    state's days that leaves it on its old model; a state whose days stay
+    the same is not counted again. A failed estimate at the first
+    iteration raises FitError.
 
     Each start runs the loop to its end: the equal-block labels first,
     then config.restarts random contiguous partitions (at least
     min_cluster_size points per state) drawn from config.seed. The first
     start with the best final objective is returned.
 
-    A refit iteration reuses each state whose members did not change.
     memo, if given, is a dict from (member-index bytes, similarity mode)
     to the model of a starting state: each start reuses the states it
     holds and adds those it estimates, so fits that start from the same

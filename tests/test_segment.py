@@ -121,13 +121,26 @@ def test_config_rejects(kwargs):
         ClusteringConfig(**kwargs).validate()
 
 
-@pytest.mark.parametrize(
-    "name", ["n_clusters", "max_iterations", "seed", "min_cluster_size", "restarts"]
-)
+INTEGER_FIELDS = ["n_clusters", "max_iterations", "seed", "min_cluster_size", "restarts"]
+
+
+@pytest.mark.parametrize("name", INTEGER_FIELDS)
 def test_config_rejects_bool_for_integer_fields(name):
     # bool is an int subclass; True must not pass as a count or a seed
-    with pytest.raises(ConfigError, match=name):
-        ClusteringConfig(**{name: True}).validate()
+    for flag in (True, np.bool_(True)):
+        with pytest.raises(ConfigError, match=name):
+            ClusteringConfig(**{name: flag}).validate()
+
+
+def test_config_accepts_numpy_integers(three_regime):
+    # such as the k of `for k in np.arange(2, 6)`
+    panel, _ = three_regime
+    settings = {"n_clusters": 3, "max_iterations": 20, "seed": 1, "min_cluster_size": 12,
+                "restarts": 1}
+    numpy_settings = {name: np.int64(value) for name, value in settings.items()}
+    _assert_same_fit(
+        fit(panel, ClusteringConfig(**numpy_settings)), fit(panel, ClusteringConfig(**settings))
+    )
 
 
 def test_config_rejects_negative_seed(three_regime):
@@ -192,6 +205,21 @@ def test_identical_models_identical_columns(rng):
     panel = _panel(rng.normal(size=(20, n)))
     scores = score_states(panel, [model, model], "likelihood")
     assert np.array_equal(scores.values[:, 0], scores.values[:, 1])
+
+
+def test_one_model_scores_as_its_column_of_many(rng):
+    # a refit scores only the states it re-estimated, so a column must not
+    # depend on the other models in the call
+    panel = _panel(rng.normal(size=(60, 9)))
+    models = [_model(rng, 9, label=k) for k in range(4)]
+    for mode in SCORING_MODES:
+        together = score_states(panel, models, mode).values
+        for k, model in enumerate(models):
+            alone = score_states(panel, [model], mode).values
+            assert alone.shape == (60, 1)
+            assert np.array_equal(alone[:, 0], together[:, k])
+    with pytest.raises(ValueError, match="at least 1 state model"):
+        score_states(panel, [])
 
 
 def test_score_matrix_rejects_nonfinite():
@@ -458,41 +486,88 @@ def test_monotone_improvement_between_iterations(three_regime):
 # --- states kept at a refit
 
 
-def _kept(models, previous) -> int:
-    """How many states hold their previous model object."""
-    return sum(new is old for new, old in zip(models, previous or ()))
+def _record_rounds(monkeypatch, alter=None):
+    """Record each assignment round of a fit, one dict per solve_path call.
 
-
-def _record_rounds(monkeypatch):
-    """Record (labels, models, kept) of every re-estimation round fit makes.
-
-    models is the round's list as re-estimation returned it, before the
-    refit's score comparison; kept counts its states whose estimate failed.
+    A round holds the estimate_cluster calls made since the assignment
+    before it as [label, members, model] (model None where the call
+    raised), the labels of the models each score_states call got, and the
+    labels solve_path returned. Round 0 is the start. alter(round, model,
+    returns, members) sees every estimate and returns the model fit gets,
+    or raises.
     """
     rounds = []
-    estimate_all = segment._estimate_all
+    estimate, score, solve = segment.estimate_cluster, segment.score_states, segment.solve_path
 
-    def recording(panel, labels, config, known, previous):
-        models, keys = estimate_all(panel, labels, config, known, previous)
-        rounds.append((labels.copy(), list(models), _kept(models, previous)))
-        return models, keys
+    def current():
+        if not rounds or "labels" in rounds[-1]:
+            rounds.append({"estimates": [], "scored": []})
+        return rounds[-1]
 
-    monkeypatch.setattr(segment, "_estimate_all", recording)
+    def estimating(returns, member_indices, config, label=0):
+        record = [label, np.asarray(member_indices), None]
+        current()["estimates"].append(record)
+        model = estimate(returns, member_indices, config, label=label)
+        if alter is not None:
+            model = alter(len(rounds) - 1, model, returns, member_indices)
+        record[2] = model
+        return model
+
+    def scoring(returns, models, mode="likelihood"):
+        current()["scored"].append([model.label for model in models])
+        return score(returns, models, mode)
+
+    def solving(scores, gamma):
+        path = solve(scores, gamma)
+        current()["labels"] = path.labels.copy()
+        return path
+
+    monkeypatch.setattr(segment, "estimate_cluster", estimating)
+    monkeypatch.setattr(segment, "score_states", scoring)
+    monkeypatch.setattr(segment, "solve_path", solving)
     return rounds
+
+
+def _changed_states(rounds, labels0, k_len):
+    """Per refit round, the states whose days differ from the iterate before."""
+    iterates = [labels0] + [r["labels"] for r in rounds]
+    return [
+        [k for k in range(k_len) if not np.array_equal(after == k, before == k)]
+        for before, after in zip(iterates, iterates[1:-1])
+    ]
+
+
+def _estimated(round_):
+    return [label for label, _, _ in round_["estimates"]]
+
+
+def _failed(round_):
+    """(label, day count) of each estimate in the round that raised."""
+    estimates = round_["estimates"]
+    return [(label, members.size) for label, members, model in estimates if model is None]
+
+
+def _start_models(rounds):
+    return [model for _, _, model in rounds[0]["estimates"]]
+
+
+def _shift(model, returns, members, sigmas):
+    sigma = returns.values[np.asarray(members)].std(axis=0)
+    return replace(model, mu=model.mu + sigmas * sigma)
 
 
 def test_undersized_state_is_repaired_at_the_refit(three_regime, monkeypatch):
     # four states on three regimes: the first assignment empties state 1,
-    # which keeps its model from the first iteration
+    # which keeps its model from the first iteration and is not rescored
     panel, _ = three_regime
     config = ClusteringConfig(n_clusters=4, gamma=100.0, seed=0, max_iterations=2)
     rounds = _record_rounds(monkeypatch)
     models, path, report = fit(panel, config)
+    _, refit = rounds
+    assert _failed(refit) == [(1, 0)]
     assert report.repairs == 1
-    assert len(rounds) == 2
-    assert [kept for _, _, kept in rounds] == [0, 1]
-    assert not np.any(rounds[1][0] == 1)
-    assert models[1] is rounds[0][1][1]
+    assert len(refit["scored"]) == 1 and 1 not in refit["scored"][0]
+    assert models[1].mu is _start_models(rounds)[1].mu
     assert report.occupancy[1] == np.count_nonzero(path.labels == 1) == 0
 
 
@@ -501,27 +576,24 @@ def test_failed_estimate_is_repaired_at_the_refit(three_regime, monkeypatch):
     # keeps its model from the iteration before
     panel, _ = three_regime
     config = ClusteringConfig(n_clusters=3, gamma=0.0, seed=0, max_iterations=2)
-    estimate = segment.estimate_cluster
-    calls, failed = [], []
+    failed = []
 
-    def failing_once(returns, member_indices, config, label=0):
-        calls.append(label)
-        if len(calls) == config.n_clusters + 1:
-            failed.append(label)
-            raise EstimationError(f"state {label}: forced failure")
-        return estimate(returns, member_indices, config, label=label)
+    def failing_once(round_, model, returns, members):
+        if round_ == 1 and not failed:
+            failed.append(model.label)
+            raise EstimationError(f"state {model.label}: forced failure")
+        return model
 
-    monkeypatch.setattr(segment, "estimate_cluster", failing_once)
-    rounds = _record_rounds(monkeypatch)
+    rounds = _record_rounds(monkeypatch, failing_once)
     models, _, report = fit(panel, config)
-    assert len(failed) == 1
     assert report.iterations == 2
     (k,) = failed
-    assert rounds[1][1][k] is rounds[0][1][k]
-    assert [kept for _, _, kept in rounds] == [0, 1]
-    # one refit, so repairs counts the states that end on their first
-    # model: the failed one and those whose new model scored worse
-    kept = [j for j in range(config.n_clusters) if models[j] is rounds[0][1][j]]
+    first = _start_models(rounds)
+    assert models[k].mu is first[k].mu
+    assert k not in rounds[1]["scored"][0]
+    # one refit, so repairs counts the refit states that end on their
+    # first model: the failed one and those whose new model scored worse
+    kept = [j for j in _estimated(rounds[1]) if models[j].mu is first[j].mu]
     assert k in kept
     assert report.repairs == len(kept)
 
@@ -561,26 +633,18 @@ def test_estimate_failing_at_every_refit_keeps_every_state(three_regime, monkeyp
 
 def test_states_emptied_together_keep_their_own_models(three_regime, monkeypatch):
     # five states on three regimes: the first assignment empties states 1
-    # and 3, whose member sets are then the same (empty) key
+    # and 3, whose (empty) day sets are then the same
     panel, _ = three_regime
     config = ClusteringConfig(n_clusters=5, gamma=100.0, seed=0)
     rounds = _record_rounds(monkeypatch)
-    models, _, _ = fit(panel, config)
-    first = rounds[0][1]
-    labels, refit, kept = rounds[1]
-    assert kept == 2
-    assert not np.any((labels == 1) | (labels == 3))
+    models, path, report = fit(panel, config)
+    first = _start_models(rounds)
+    assert _failed(rounds[1]) == [(1, 0), (3, 0)]
+    assert not np.any((path.labels == 1) | (path.labels == 3))
     assert not np.array_equal(first[1].mu, first[3].mu)
     for k in (1, 3):
-        assert np.array_equal(refit[k].mu, first[k].mu)
-        assert np.array_equal(models[k].mu, first[k].mu)
-    # a further round on the same labels keeps them apart too
-    known = {}
-    segment._estimate_all(panel, labels, config, known, first)
-    again, _ = segment._estimate_all(panel, labels, config, known, refit)
-    assert _kept(again, refit) == 2
-    for k in (1, 3):
-        assert np.array_equal(again[k].mu, first[k].mu)
+        assert models[k].mu is first[k].mu
+    assert report.repairs >= 2
 
 
 def test_refit_scoring_its_days_worse_is_rejected(three_regime, monkeypatch):
@@ -588,25 +652,22 @@ def test_refit_scoring_its_days_worse_is_rejected(three_regime, monkeypatch):
     # off its days; its state keeps the model and score column it had
     panel, _ = three_regime
     config = ClusteringConfig(n_clusters=2, gamma=100.0, seed=0, max_iterations=2)
-    estimate = segment.estimate_cluster
-    calls, worsened = [], []
+    worsened = []
 
-    def worse_once(returns, member_indices, config, label=0):
-        model = estimate(returns, member_indices, config, label=label)
-        calls.append(label)
-        if len(calls) == config.n_clusters + 1:
-            worsened.append(label)
-            sigma = returns.values[member_indices].std(axis=0)
-            return replace(model, mu=model.mu + 5.0 * sigma)
+    def worse_once(round_, model, returns, members):
+        if round_ == 1 and not worsened:
+            worsened.append(model.label)
+            return _shift(model, returns, members, 5.0)
         return model
 
-    monkeypatch.setattr(segment, "estimate_cluster", worse_once)
-    rounds = _record_rounds(monkeypatch)
+    rounds = _record_rounds(monkeypatch, worse_once)
     models, path, report = fit(panel, config)
     (k,) = worsened
     assert len(rounds) == report.iterations == 2
-    assert rounds[1][1][k] is not rounds[0][1][k]
-    assert models[k] is rounds[0][1][k]
+    rejected = rounds[1]["estimates"][0][2]
+    assert k in rounds[1]["scored"][0]
+    assert models[k] is not rejected
+    assert models[k].mu is _start_models(rounds)[k].mu
     assert report.repairs == 1
     first, second = report.objective_trajectory
     assert second >= first
@@ -618,34 +679,69 @@ def test_refit_scoring_its_days_worse_is_rejected(three_regime, monkeypatch):
 
 def test_rejected_days_that_recur_reuse_the_kept_model(three_regime, monkeypatch):
     # every refit estimate of state 0 is shifted 5 sigma and rejected; when
-    # its days come back at the next iterate they get the model it kept,
-    # neither the rejected one nor a second count in repairs
+    # its days come back unchanged at the next iterate the state keeps its
+    # model without a new estimate or a second count in repairs
     panel, _ = three_regime
     config = ClusteringConfig(n_clusters=4, gamma=0.0, seed=0)
-    estimate = segment.estimate_cluster
-    calls, worsened = [], {}
 
-    def worse_for_state_0(returns, member_indices, config, label=0):
-        model = estimate(returns, member_indices, config, label=label)
-        calls.append(label)
-        if len(calls) > config.n_clusters and label == 0:
-            sigma = returns.values[member_indices].std(axis=0)
-            model = replace(model, mu=model.mu + 5.0 * sigma)
-            worsened[np.asarray(member_indices).tobytes()] = model.mu
+    def worse_for_state_0(round_, model, returns, members):
+        if round_ > 0 and model.label == 0:
+            return _shift(model, returns, members, 5.0)
         return model
 
-    monkeypatch.setattr(segment, "estimate_cluster", worse_for_state_0)
-    rounds = _record_rounds(monkeypatch)
-    _, _, report = fit(panel, config)
+    rounds = _record_rounds(monkeypatch, worse_for_state_0)
+    models, _, report = fit(panel, config)
     assert report.converged
-    assert report.repairs == len(worsened) > 0
+    refits = rounds[1:]
+    worsened = sum(_estimated(r).count(0) for r in refits)
+    assert report.repairs == worsened > 0
+    assert models[0].mu is _start_models(rounds)[0].mu
+    changed = _changed_states(rounds, np.repeat(np.arange(4), 150), 4)
     recurring = 0
-    for (before, _, _), (labels, models, _) in zip(rounds[1:], rounds[2:]):
-        days = np.flatnonzero(labels == 0)
-        if days.tobytes() in worsened and np.array_equal(days, np.flatnonzero(before == 0)):
+    for before, after, moved in zip(refits, refits[1:], changed[1:]):
+        if 0 in _estimated(before) and 0 not in moved:
             recurring += 1
-            assert not np.array_equal(models[0].mu, worsened[days.tobytes()])
+            assert 0 not in _estimated(after)
     assert recurring > 0
+
+
+def test_unchanged_state_is_neither_reestimated_nor_rescored(three_regime, monkeypatch):
+    # state 0 starts 40 days into state 1, so the refit moves those two
+    # and leaves state 2 on its starting model and score column
+    panel, truth = three_regime
+    labels0 = truth.copy()
+    labels0[200:240] = 0
+    config = ClusteringConfig(n_clusters=3, gamma=100.0, seed=0, max_iterations=2)
+    rounds = _record_rounds(monkeypatch)
+    models, path, report = segment._fit_once(panel, config, labels0, None)
+    _, refit = rounds
+    assert _changed_states(rounds, labels0, 3) == [[0, 1]]
+    assert _estimated(refit) == [0, 1]
+    assert refit["scored"] == [[0, 1]]
+    assert models[2].mu is _start_models(rounds)[2].mu
+    # the kept column is the one a fresh scoring of the state's model gives
+    rescored = solve_path(score_states(panel, models), config.gamma)
+    assert report.objective == rescored.objective == path.objective
+
+
+def test_state_that_stays_empty_counts_once_in_repairs(monkeypatch):
+    # state 3's starting mean is moved far off every day, so the first
+    # assignment empties it; it stays empty while the other states still
+    # move, and its one change of days is its one repair
+    panel, _ = panels.three_regime_panel(seed=1)
+    config = ClusteringConfig(n_clusters=4, gamma=5.0, seed=0)
+
+    def far_start_for_state_3(round_, model, returns, members):
+        if round_ == 0 and model.label == 3:
+            return _shift(model, returns, members, 50.0)
+        return model
+
+    rounds = _record_rounds(monkeypatch, far_start_for_state_3)
+    _, path, report = fit(panel, config)
+    assert report.converged and report.iterations >= 3
+    assert all(not np.any(r["labels"] == 3) for r in rounds)
+    assert [_failed(r) for r in rounds[1:]] == [[(3, 0)]] + [[]] * (len(rounds) - 2)
+    assert report.repairs == 1
 
 
 def test_kept_states_end_a_cycle():
@@ -725,31 +821,20 @@ def test_memo_keeps_only_the_starting_states(three_regime, monkeypatch):
 
 
 def test_refit_reuses_the_states_of_the_iterate_before(three_regime, monkeypatch):
-    panel, truth = three_regime
-    calls = _count_estimates(monkeypatch)
-    rounds = []
-    estimate_all = segment._estimate_all
-
-    def recording(panel, labels, config, known, previous):
-        before = len(calls)
-        models, keys = estimate_all(panel, labels, config, known, previous)
-        rounds.append(([key for key in keys if key is not None], calls[before:]))
-        return models, keys
-
-    monkeypatch.setattr(segment, "_estimate_all", recording)
-    # state 0 starts 40 days into state 1, so the refit moves those two
-    # and leaves state 2 as it was
-    labels0 = truth.copy()
-    labels0[200:240] = 0
-    config = ClusteringConfig(n_clusters=3, gamma=100.0, seed=0)
-    segment._fit_once(panel, config, labels0, None)
-    assert len(rounds) >= 2
-    assert rounds[0][1] == [key[0] for key in rounds[0][0]]
+    # four states, no switching penalty: states 1 and 2 trade days for
+    # several iterates while states 0 and 3 keep theirs
+    panel, _ = three_regime
+    config = ClusteringConfig(n_clusters=4, gamma=0.0, seed=0)
+    rounds = _record_rounds(monkeypatch)
+    _, _, report = fit(panel, config)
+    assert report.iterations >= 3
+    changed = _changed_states(rounds, np.repeat(np.arange(4), 150), 4)
     reused = 0
-    for (before, _), (keys, estimated) in zip(rounds, rounds[1:]):
-        fresh = [key[0] for key in keys if key not in before]
-        assert estimated == fresh
-        reused += len(keys) - len(fresh)
+    for refit, moved in zip(rounds[1:], changed):
+        assert _estimated(refit) == moved
+        succeeded = [label for label, _, model in refit["estimates"] if model is not None]
+        assert refit["scored"] == ([succeeded] if succeeded else [])
+        reused += 4 - len(moved)
     assert reused > 0
 
 
