@@ -208,18 +208,14 @@ def run_sweep(config: RunConfig, returns: ReturnsPanel, cells) -> int:
     Each cell writes the standard outputs into its own subdirectory;
     sweep.json holds the pairwise matched-label agreement matrix. Returns
     0 only if every cell succeeded, else the first failing cell's code,
-    after one stderr line naming that cell. Cells of equal K share one
-    memo of starting states, so the states they all start from are
-    estimated once.
+    after one stderr line naming that cell. All cells share one memo of
+    starts, so cells of equal K estimate and score their start once.
     """
     summary = []
     labels = []
     failures = []  # (exit code, diagnostic) per failed cell
-    memo, memo_k = {}, None
+    memo = {}
     for name, cell in cells:
-        if cell.clustering.n_clusters != memo_k:
-            # no start of another K can match, so those are dropped
-            memo, memo_k = {}, cell.clustering.n_clusters
         try:
             labels.append(run_fit(cell, returns, memo=memo).labels)
             code = EXIT_OK

@@ -15,7 +15,7 @@ upper-triangle entries, so fitting imports numpy only.
 """
 
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -240,10 +240,13 @@ def estimate_cluster(
 
     mu and the covariance are the sample mean/covariance of the member
     rows; the TMFG is rebuilt on the configured similarity of those rows
-    and the precision is the LoGo estimate on it.
+    and the precision is the LoGo estimate on it. member_indices must be
+    distinct days in [0, T), else ValueError.
     """
-    idx = np.asarray(sorted(member_indices), dtype=int)
-    n = returns.values.shape[1]
+    idx = np.sort(np.asarray(member_indices, dtype=int))
+    t_len, n = returns.values.shape
+    if idx.size and (idx[0] < 0 or idx[-1] >= t_len or not np.all(np.diff(idx))):
+        raise ValueError(f"state {label}: member indices must be distinct days in [0, {t_len})")
     min_size = config.resolved_min_cluster_size(n)
     if idx.size < min_size:
         raise EstimationError(
@@ -270,21 +273,20 @@ def _starts(t_len: int, config: ClusteringConfig, min_size: int):
 
 
 def _fit_once(panel: ReturnsPanel, config: ClusteringConfig, labels, memo):
-    # The starting states come from and go into memo, if given; a
-    # member set can come back under another label, so a copy takes the
-    # label. Refits keep no model beyond the current ones.
+    # A start's models and score values come from and go into memo, if
+    # given; refits write score columns in place, so a hit takes a copy.
     memo = {} if memo is None else memo
-    models = []
-    for k in range(config.n_clusters):
-        idx = np.flatnonzero(labels == k)
-        key = (idx.tobytes(), config.similarity_mode)
-        if key not in memo:
-            try:
-                memo[key] = estimate_cluster(panel, idx, config, label=k)
-            except EstimationError as exc:
-                raise FitError(f"state estimation failed: {exc}") from exc
-        models.append(replace(memo[key], label=k))
-    scores = score_states(panel, models, config.scoring_mode)
+    key = (labels.tobytes(), config.similarity_mode, config.scoring_mode)
+    if key not in memo:
+        days = (np.flatnonzero(labels == k) for k in range(config.n_clusters))
+        try:
+            start = [estimate_cluster(panel, idx, config, label=k) for k, idx in enumerate(days)]
+        except EstimationError as exc:
+            raise FitError(f"state estimation failed: {exc}") from exc
+        memo[key] = (start, score_states(panel, start, config.scoring_mode).values)
+    start, values = memo[key]
+    models = list(start)
+    scores = ScoreMatrix(values.copy())
     trajectory: list = []
     repairs = 0
     converged = False
@@ -360,12 +362,12 @@ def fit(returns: ReturnsPanel, config: ClusteringConfig, *, memo=None):
     min_cluster_size points per state) drawn from config.seed. The first
     start with the best final objective is returned.
 
-    memo, if given, is a dict from (member-index bytes, similarity mode)
-    to the model of a starting state: each start reuses the states it
-    holds and adds those it estimates, so fits that start from the same
-    labels, such as the sweep cells that share K, estimate them once. Its
-    keys hold member indices, not data, so one memo is only valid for one
-    returns panel. Left as None, no start is kept.
+    memo, if given, is a dict from (start label bytes, similarity mode,
+    scoring mode) to that start's K models and T x K score values: fits
+    that start from the same labels, such as the sweep cells that share
+    K, estimate and score them once. One entry holds one T x K float
+    matrix. Its keys hold labels, not data, so one memo is only valid for
+    one returns panel. Left as None, no start is kept.
 
     Returns (models, path, report).
     """

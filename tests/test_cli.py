@@ -390,8 +390,17 @@ def test_sweep_estimates_each_state_once(price_csv, tmp_path, monkeypatch):
         return build(similarity)
 
     monkeypatch.setattr(segment, "build_tmfg", counting_build)
-    # the memo a cell gets holds the starts of its own K only, and a
-    # single fit gets none
+    # and scored once; analysis scores the ratio through its own import
+    scored = []
+    score = segment.score_states
+
+    def counting_score(returns, models, mode="likelihood"):
+        scored.append(len(models))
+        return score(returns, models, mode)
+
+    monkeypatch.setattr(segment, "score_states", counting_score)
+    # one memo serves the whole sweep, one entry per start, and a single
+    # fit gets none
     held = []
     fit = cli.fit
 
@@ -407,6 +416,7 @@ def test_sweep_estimates_each_state_once(price_csv, tmp_path, monkeypatch):
     )
     assert code == 0
     assert len(calls) == 5
+    assert scored == [2, 3]
     # each cell writes what a fit of its own writes
     single = tmp_path / "single"
     assert _run(
@@ -415,7 +425,7 @@ def test_sweep_estimates_each_state_once(price_csv, tmp_path, monkeypatch):
     ) == 0
     for name in ("states.csv", "models.json", "ratio.csv"):
         assert (out / "K3_gamma100" / name).read_bytes() == (single / name).read_bytes()
-    assert held == [0, 2, 0, 3, None]
+    assert held == [0, 1, 1, 2, None]
 
 
 def test_sweep_rejects_colliding_cells(price_csv, tmp_path, capsys):

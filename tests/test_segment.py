@@ -335,6 +335,23 @@ def test_estimate_rejects_undersized(rng):
         estimate_cluster(panel, np.arange(5), config)
 
 
+@pytest.mark.parametrize(
+    "members",
+    [
+        [-1, *range(1, 200)],  # numpy would read day -1 as day 599
+        list(range(100)) * 2,  # each day would count twice
+        [*range(199), 600],
+    ],
+    ids=["negative", "repeated", "past-end"],
+)
+def test_estimate_rejects_bad_member_indices(three_regime, members):
+    panel, _ = three_regime
+    config = ClusteringConfig(n_clusters=3)
+    message = r"state 2: member indices must be distinct days in \[0, 600\)"
+    with pytest.raises(ValueError, match=message):
+        estimate_cluster(panel, members, config, label=2)
+
+
 def test_estimate_rejects_constant_column(rng):
     values = rng.normal(size=(40, 6))
     values[:, 2] = 1.25
@@ -788,36 +805,51 @@ def _assert_same_fit(a, b):
 
 def test_shared_memo_gives_the_same_fit(three_regime):
     # the memo is warmed under every setting it keys on, so a key that
-    # left one out would hand a fit another setting's states
+    # left one out would hand a fit another setting's states or scores
     panel, _ = three_regime
-    keyed = ("signed", "absolute", "squared")
+    keyed = list(itertools.product(segment.SIMILARITY_MODES, SCORING_MODES))
     memo = {}
-    for similarity in keyed:
-        warm = ClusteringConfig(n_clusters=3, gamma=10.0, seed=0, similarity_mode=similarity)
+    for similarity, scoring in keyed:
+        warm = ClusteringConfig(
+            n_clusters=3, gamma=10.0, seed=0, similarity_mode=similarity, scoring_mode=scoring
+        )
         fit(panel, warm, memo=memo)
-    for similarity in keyed:
+    for similarity, scoring in keyed:
         config = ClusteringConfig(
-            n_clusters=3, gamma=100.0, seed=0, restarts=2, similarity_mode=similarity
+            n_clusters=3, gamma=100.0, seed=0, restarts=2,
+            similarity_mode=similarity, scoring_mode=scoring,
         )
         _assert_same_fit(fit(panel, config), fit(panel, config, memo=memo))
 
 
 def test_memo_keeps_only_the_starting_states(three_regime, monkeypatch):
-    # restarts share the memo for their starts; refit states stay out of
-    # it, so what a memo holds does not grow with the iterations
+    # restarts share the memo, one entry per start; refit states stay out
+    # of it, so what a memo holds does not grow with the iterations
     panel, _ = three_regime
     config = ClusteringConfig(n_clusters=3, gamma=100.0, seed=0, restarts=3)
     calls = _count_estimates(monkeypatch)
     memo = {}
     fit(panel, config, memo=memo)
-    assert len(calls) > len(memo) == 3 * (1 + 3)  # the states of each start
+    assert len(memo) == 1 + 3
     blocks = np.repeat(np.arange(3), 200)
-    assert {(np.flatnonzero(blocks == k).tobytes(), "signed") for k in range(3)} <= memo.keys()
+    assert (blocks.tobytes(), "signed", "likelihood") in memo
+    assert len(calls) > 3 * len(memo)  # the refits estimated states too
     # a second fit of the same panel estimates only its refit states
     first = list(calls)
     calls.clear()
     fit(panel, config, memo=memo)
-    assert len(calls) == len(first) - len(memo)
+    assert len(calls) == len(first) - 3 * len(memo)
+
+
+def test_memo_hit_is_not_changed_by_the_fit_that_made_it(three_regime):
+    # refits write score columns in place; a fit that takes its start from
+    # the memo must not see the columns an earlier fit refit
+    panel, _ = three_regime
+    memo = {}
+    _, _, warm = fit(panel, ClusteringConfig(n_clusters=4, gamma=0.0, seed=0), memo=memo)
+    assert warm.iterations == 7
+    config = ClusteringConfig(n_clusters=4, gamma=100.0, seed=0, max_iterations=1)
+    _assert_same_fit(fit(panel, config), fit(panel, config, memo=memo))
 
 
 def test_refit_reuses_the_states_of_the_iterate_before(three_regime, monkeypatch):
@@ -836,19 +868,3 @@ def test_refit_reuses_the_states_of_the_iterate_before(three_regime, monkeypatch
         assert refit["scored"] == ([succeeded] if succeeded else [])
         reused += 4 - len(moved)
     assert reused > 0
-
-
-def test_memo_hit_under_another_label_gets_that_label(three_regime, monkeypatch):
-    panel, truth = three_regime
-    config = ClusteringConfig(n_clusters=3, gamma=100.0, seed=0, max_iterations=1)
-    memo = {}
-    first, _, _ = segment._fit_once(panel, config, truth, memo)
-    calls = _count_estimates(monkeypatch)
-    perm = np.array([2, 0, 1])
-    second, _, _ = segment._fit_once(panel, config, perm[truth], memo)
-    assert calls == []  # every state came from the memo
-    assert [m.label for m in first] == [0, 1, 2]
-    assert [m.label for m in second] == [0, 1, 2]
-    for k in range(3):
-        assert second[perm[k]].mu is first[k].mu
-        assert second[perm[k]].member_count == first[k].member_count
