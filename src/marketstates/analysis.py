@@ -62,11 +62,11 @@ def suggest_ratio_states(path: StatePath, returns: ReturnsPanel) -> tuple:
     equal_weight = returns.values.mean(axis=1)
     # not np.unique: its first call imports numpy.ma (about 10 ms)
     states = sorted({int(s) for s in labels.tolist()})
-    if len(states) < 2:
-        raise ValueError("need at least two occupied states to compare")
     mean_return = {s: float(equal_weight[labels == s].mean()) for s in states}
     crisis = min(states, key=lambda s: (mean_return[s], s))
     bull = max(states, key=lambda s: (mean_return[s], -s))
+    if crisis == bull:  # one occupied state, or all of one mean return
+        raise ValueError("need two occupied states of different mean return to compare")
     return crisis, bull
 
 

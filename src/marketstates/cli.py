@@ -24,7 +24,7 @@ import argparse
 import itertools
 import json
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -263,74 +263,65 @@ def _list_of(convert, noun: str):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The CLI's flags; defaults and choices of fit settings come from ClusteringConfig."""
-    default = ClusteringConfig()
+    """The CLI's flags, each stored under the name of the field it sets.
+
+    The dests are RunConfig's and ClusteringConfig's fields plus sweep_k and
+    sweep_gamma; ClusteringConfig gives the defaults, restarts included.
+    """
     parser = _Parser(
         prog="marketstates",
         description="Detect market states in an asset price panel and "
         "emit plot-ready CSV/JSON outputs.",
     )
+    parser.set_defaults(**asdict(ClusteringConfig()))
     parser.add_argument("--input", required=True, help="price panel CSV (date column first)")
     parser.add_argument("--output", required=True, help="output directory")
-    parser.add_argument("--clusters", type=int, default=default.n_clusters,
+    parser.add_argument("--clusters", dest="n_clusters", type=int,
                         help="number of states (default %(default)s)")
-    parser.add_argument("--gamma", type=float, default=default.gamma,
-                        help="switching penalty (default %(default)s)")
+    parser.add_argument("--gamma", type=float, help="switching penalty (default %(default)s)")
     parser.add_argument(
-        "--mode", choices=SCORING_MODES, default=default.scoring_mode,
+        "--mode", dest="scoring_mode", choices=SCORING_MODES,
         help="scoring mode; mahalanobis drops the log-determinant term (default %(default)s)",
     )
     parser.add_argument(
-        "--similarity", choices=SIMILARITY_MODES, default=default.similarity_mode,
+        "--similarity", dest="similarity_mode", choices=SIMILARITY_MODES,
         help="correlation transform used to build each state's graph (default %(default)s)",
     )
     parser.add_argument("--standardize", action="store_true", help="z-score each asset first")
-    parser.add_argument("--max-iter", type=int, default=default.max_iterations,
+    parser.add_argument("--max-iter", dest="max_iterations", type=int,
                         help="fit iteration budget (default %(default)s)")
-    parser.add_argument("--seed", type=int, default=default.seed,
+    parser.add_argument("--seed", type=int,
                         help="seed for random restarts; the CLI runs none, so it "
                         "only reaches report.json (default %(default)s)")
-    parser.add_argument("--min-cluster-size", type=int, default=default.min_cluster_size,
+    parser.add_argument("--min-cluster-size", type=int,
                         help="fewest days a state's model is estimated from; a state "
                         "assigned fewer at a refit keeps its previous model "
                         "(default: assets + 1)")
-    parser.add_argument("--ratio", default=None,
+    parser.add_argument("--ratio",
                         help="'A,B' state labels or 'auto' for lowest-vs-highest mean return")
-    parser.add_argument("--sweep-k", type=_list_of(int, "integers"), default=None,
+    parser.add_argument("--sweep-k", type=_list_of(int, "integers"),
                         help="comma-separated cluster counts")
-    parser.add_argument("--sweep-gamma", type=_list_of(float, "numbers"), default=None,
+    parser.add_argument("--sweep-gamma", type=_list_of(float, "numbers"),
                         help="comma-separated gamma values")
     return parser
 
 
 def main(argv=None) -> int:
+    """Run the CLI and return its exit code; each flag sets the field its dest names."""
     config = report_dir = None
     try:
-        args = build_parser().parse_args(argv)
-        clustering = ClusteringConfig(
-            n_clusters=args.clusters,
-            gamma=args.gamma,
-            scoring_mode=args.mode,
-            similarity_mode=args.similarity,
-            max_iterations=args.max_iter,
-            seed=args.seed,
-            min_cluster_size=args.min_cluster_size,
-        )
-        config = RunConfig(
-            input=args.input,
-            output=args.output,
-            clustering=clustering,
-            ratio=args.ratio,
-            standardize=args.standardize,
-        )
-        if args.sweep_k is None and args.sweep_gamma is None:
+        args = vars(build_parser().parse_args(argv))
+        sweep_k, sweep_gamma = args.pop("sweep_k"), args.pop("sweep_gamma")
+        settings = {f.name: args.pop(f.name) for f in fields(ClusteringConfig)}
+        config = RunConfig(clustering=ClusteringConfig(**settings), **args)
+        if sweep_k is None and sweep_gamma is None:
             config.validate()
             cells = None
         else:
             cells = _sweep_cells(
                 config,
-                args.sweep_k if args.sweep_k is not None else [args.clusters],
-                args.sweep_gamma if args.sweep_gamma is not None else [args.gamma],
+                sweep_k if sweep_k is not None else [config.clustering.n_clusters],
+                sweep_gamma if sweep_gamma is not None else [config.clustering.gamma],
             )
         out_dir = Path(config.output)
         out_dir.mkdir(parents=True, exist_ok=True)

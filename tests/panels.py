@@ -75,6 +75,30 @@ def two_regime_panel(seed=3, per=150, n=8):
     return panel, np.repeat(np.array([0, 1]), per)
 
 
+def rising_volatility_panel(seed=0, t_len=600, n=N_ASSETS):
+    """Independent Gaussian returns whose scale rises fourfold over the panel.
+
+    No regime boundary is sharp, so a fit's states hold uneven day counts.
+    """
+    rng = np.random.default_rng(seed)
+    values = 0.01 * rng.normal(size=(t_len, n)) * np.linspace(0.5, 2.0, t_len)[:, None]
+    return ReturnsPanel(
+        dates=_dates(t_len), assets=tuple(f"A{i}" for i in range(n)), values=values
+    )
+
+
+def zero_sum_prices(seed=0, t_len=401) -> PricePanel:
+    """Four assets whose log-returns sum to exactly 0 on every day.
+
+    A and B flip between prices 1 and e in opposite directions, and C and D
+    do the same on an independent flip sequence, so every state of any fit
+    has a mean equal-weight return of 0.
+    """
+    a, c = np.random.default_rng(seed).integers(0, 2, size=(2, t_len))
+    log_prices = np.column_stack([a, 1 - a, c, 1 - c]).astype(float)
+    return PricePanel(dates=_dates(t_len), assets=("A", "B", "C", "D"), values=np.exp(log_prices))
+
+
 def returns_to_prices(panel: ReturnsPanel, base=100.0) -> PricePanel:
     """Integrate log-returns into a price panel one day longer."""
     log_path = np.vstack([np.zeros(len(panel.assets)), np.cumsum(panel.values, axis=0)])

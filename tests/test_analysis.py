@@ -103,6 +103,11 @@ def test_suggest_ratio_states_needs_two_states(rng):
     panel = _panel(rng.normal(size=(10, 4)))
     with pytest.raises(ValueError):
         suggest_ratio_states(_path([0] * 10), panel)
+    # each day's returns cancel in pairs, so three states share mean return 0
+    a, b = rng.normal(size=(2, 30))
+    panel = _panel(np.column_stack([a, -a, b, -b]))
+    with pytest.raises(ValueError, match="different mean return"):
+        suggest_ratio_states(_path([0, 1, 2] * 10), panel)
 
 
 def test_suggest_ratio_states_matches_numpy_means(rng):

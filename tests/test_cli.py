@@ -6,7 +6,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -126,6 +126,71 @@ def test_defaults_accepted(price_csv, tmp_path):
     assert not {"standardized", "restarts_used"} & report.keys()
 
 
+def test_every_flag_is_stored_under_a_config_field():
+    # main builds the configs from the namespace by these names, so a flag
+    # stored under any other name would set nothing
+    args = vars(cli.build_parser().parse_args(["--input", "in.csv", "--output", "out"]))
+    run_fields = {f.name for f in fields(cli.RunConfig)} - {"clustering"}
+    fit_fields = {f.name for f in fields(segment.ClusteringConfig)}  # restarts via set_defaults
+    assert set(args) == run_fields | fit_fields | {"sweep_k", "sweep_gamma"}
+
+
+@pytest.fixture(scope="module")
+def rising_volatility_run(tmp_path_factory):
+    """(price CSV, default run's output directory) on a panel of uneven states."""
+    root = tmp_path_factory.mktemp("flags")
+    path = root / "prices.csv"
+    panels.write_prices_csv(path, panels.returns_to_prices(panels.rising_volatility_panel()))
+    assert _run(["--input", path, "--output", root / "default"]) == 0
+    return path, root / "default"
+
+
+_FIT_FILES = {"states.csv", "models.json"}
+
+
+# flags, config key path, parsed value, files of which the run must change
+# at least one from the default run's; --seed draws nothing without
+# restarts, so it must change none
+_FLAG_CASES = [
+    (["--clusters", 3], ("clustering", "n_clusters"), 3, _FIT_FILES),
+    (["--gamma", 0], ("clustering", "gamma"), 0.0, _FIT_FILES),
+    (["--mode", "mahalanobis"], ("clustering", "scoring_mode"), "mahalanobis", _FIT_FILES),
+    (["--similarity", "absolute"], ("clustering", "similarity_mode"), "absolute", _FIT_FILES),
+    (["--standardize"], ("standardize",), True, _FIT_FILES),
+    (["--max-iter", 1], ("clustering", "max_iterations"), 1, _FIT_FILES),
+    (["--seed", 7], ("clustering", "seed"), 7, set()),
+    (["--min-cluster-size", 150], ("clustering", "min_cluster_size"), 150, _FIT_FILES),
+    (["--ratio", "auto"], ("ratio",), "auto", {"ratio.csv"}),
+]
+
+
+@pytest.mark.parametrize(
+    "flags, key, value, changes", _FLAG_CASES, ids=[case[0][0] for case in _FLAG_CASES]
+)
+def test_every_fit_flag_reaches_the_run(
+    rising_volatility_run, tmp_path, flags, key, value, changes
+):
+    data, default = rising_volatility_run
+    out = tmp_path / "flagged"
+    assert _run(["--input", data, "--output", out] + flags) == 0
+    expected = json.loads((default / "report.json").read_text())["config"]
+    expected["output"] = str(out)
+    section = expected
+    for part in key[:-1]:
+        section = section[part]
+    assert section[key[-1]] != value
+    section[key[-1]] = value
+    assert json.loads((out / "report.json").read_text())["config"] == expected
+
+    def read(directory, file_name):
+        path = directory / file_name
+        return path.read_bytes() if path.exists() else None
+
+    names = ("states.csv", "models.json", "ratio.csv")
+    changed = {name for name in names if read(out, name) != read(default, name)}
+    assert changed & changes if changes else not changed, changed
+
+
 def test_explicit_ratio_pair(price_csv, tmp_path):
     out = tmp_path / "pair"
     code = _run(
@@ -234,6 +299,40 @@ def test_auto_ratio_with_one_occupied_state_is_a_fit_failure(price_csv, tmp_path
     assert code == 3
     assert "two occupied states" in _one_stderr_line(capsys)
     assert json.loads((out / "report.json").read_text())["error_kind"] == "fit"
+
+
+@pytest.fixture(scope="module")
+def zero_sum_csv(tmp_path_factory):
+    path = tmp_path_factory.mktemp("zerosum") / "prices.csv"
+    panels.write_prices_csv(path, panels.zero_sum_prices())
+    return path
+
+
+def test_auto_ratio_with_states_of_one_mean_is_a_fit_failure(zero_sum_csv, tmp_path, capsys):
+    # every day's log-returns sum to 0, so no state is a crisis or a bull
+    out = tmp_path / "onemean"
+    code = _run(
+        ["--input", zero_sum_csv, "--output", out, "--clusters", 3, "--gamma", 0,
+         "--ratio", "auto"]
+    )
+    assert code == 3
+    assert "different mean return" in _one_stderr_line(capsys)
+    report = json.loads((out / "report.json").read_text())
+    assert report["status"] == "error" and report["error_kind"] == "fit"
+
+
+def test_sweep_with_states_of_one_mean_runs_every_cell(zero_sum_csv, tmp_path, capsys):
+    out = tmp_path / "onemeansweep"
+    code = _run(
+        ["--input", zero_sum_csv, "--output", out, "--sweep-k", "2,3", "--sweep-gamma", 0,
+         "--ratio", "auto"]
+    )
+    assert code == 3
+    assert _one_stderr_line(capsys).rstrip().endswith("(2 of 2 cells failed)")
+    cells = json.loads((out / "sweep.json").read_text())["cells"]
+    assert [(cell["clusters"], cell["exit_code"]) for cell in cells] == [(2, 3), (3, 3)]
+    for cell in cells:
+        assert json.loads((out / cell["dir"] / "report.json").read_text())["error_kind"] == "fit"
 
 
 def test_exit_code_on_unwritable_output(price_csv, tmp_path, capsys):
