@@ -5,10 +5,13 @@ with a header row. The first column is the date column (named "date",
 case-insensitive), holding ISO-8601 calendar dates (YYYY-MM-DD); every
 other column is one named asset's price series. Prices must be strictly
 positive and finite; missing values are a data error, never imputed.
+Cells may be quoted, lines may end in CRLF, and "#" is an ordinary
+character, not a comment.
 """
 
 import csv
 import datetime
+import io
 import math
 import re
 from dataclasses import dataclass
@@ -18,6 +21,11 @@ import numpy as np
 from .errors import DataError
 
 _ISO_DATE = re.compile(r"^[0-9]{4}-[0-9]{2}-[0-9]{2}$")
+_ISO_DATE_LINES = re.compile(r"(?:[0-9]{4}-[0-9]{2}-[0-9]{2}\n)*")
+# characters whose files the block parse leaves to the csv module: a quote,
+# a lone carriage return (a line end to csv only) and NUL (a csv.Error
+# before Python 3.11)
+_CSV_ONLY = '"\r\x00'
 _DATE_COLUMN = "date"
 _MIN_ROWS = 2
 # the smallest panel the downstream graph builder accepts
@@ -99,12 +107,8 @@ def _parse_price(cell: str, line_no: int, column: str) -> float:
     return value
 
 
-def _read_rows(reader, path) -> tuple:
-    """Parse the header and data rows; returns (assets, [(date, prices)])."""
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise DataError(f"{path}: file is empty") from None
+def _parse_header(header: list, path) -> list[str]:
+    """The asset names of a header row's cells, checked."""
     if not header or header[0].strip().lower() != _DATE_COLUMN:
         raise DataError(
             f"{path}: first column must be {_DATE_COLUMN!r}, "
@@ -119,6 +123,16 @@ def _read_rows(reader, path) -> tuple:
         )
     if len(set(assets)) != len(assets):
         raise DataError(f"{path}: duplicate asset columns in header")
+    return assets
+
+
+def _read_rows(reader, path) -> tuple:
+    """Parse the header and data rows; returns (assets, [(date, prices)])."""
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataError(f"{path}: file is empty") from None
+    assets = _parse_header(header, path)
 
     rows: list[tuple[str, list[float]]] = []
     for line_no, row in enumerate(reader, start=2):
@@ -141,21 +155,67 @@ def _read_rows(reader, path) -> tuple:
             raise DataError(
                 f"line {line_no}: date {date_cell!r} is not a calendar date"
             ) from None
-        # fast path for a row of positive finite prices (float() strips
-        # whitespace itself); any other row is parsed cell by cell, which
-        # names the first bad cell's line and column
-        try:
-            prices = list(map(float, row[1:]))
-            valid = math.isfinite(sum(prices)) and min(prices) > 0.0
-        except ValueError:
-            valid = False
-        if not valid:
-            prices = [
-                _parse_price(cell.strip(), line_no, assets[j])
-                for j, cell in enumerate(row[1:])
-            ]
+        prices = [
+            _parse_price(cell.strip(), line_no, assets[j])
+            for j, cell in enumerate(row[1:])
+        ]
         rows.append((date_cell, prices))
     return assets, rows
+
+
+def _read_block(text: str, path) -> PricePanel | None:
+    """Parse a valid file in one vectorized pass; None if it does not pass.
+
+    Every file this returns None for goes to _read_rows, which either reads
+    it (quoted cells, a lone carriage return, padded dates, prices such as
+    1_0 that float() reads and np.loadtxt does not) or names its first bad
+    line and cell. So this path needs no messages of its own.
+    """
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+    if any(c in text for c in _CSV_ONLY):
+        return None
+    lines = text.split("\n")
+    # the csv module refuses a cell longer than its field size limit
+    limit = csv.field_size_limit()
+    if any(len(cell) > limit for line in lines if len(line) > limit for cell in line.split(",")):
+        return None
+    # the csv module skips blank lines; whitespace-only ones fail the dates
+    header, lines = lines[0], list(filter(None, lines[1:]))
+    try:
+        assets = _parse_header(header.split(","), path)
+        if len(lines) < _MIN_ROWS:
+            return None
+        dates = [line.partition(",")[0] for line in lines]
+        if not _ISO_DATE_LINES.fullmatch("\n".join(dates) + "\n"):
+            return None
+        for date in dates:
+            datetime.date.fromisoformat(date)
+        # loadtxt raises on a row too short for usecols but ignores cells
+        # past them: n commas on every line, header included, is the total
+        # that leaves no row wider
+        if text.count(",") != len(assets) * (len(lines) + 1):
+            return None
+        values = np.loadtxt(
+            lines, delimiter=",", comments=None, usecols=range(1, len(assets) + 1), ndmin=2
+        )
+        order = sorted(range(len(dates)), key=dates.__getitem__)
+        return PricePanel(dates=[dates[i] for i in order], assets=assets, values=values[order])
+    except ValueError:  # DataError included: duplicate dates or a bad price
+        return None
+
+
+def _read_text(path) -> str:
+    """The file decoded whole, so a bad byte is named by its offset in the file."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    try:
+        return data.decode("utf-8").removeprefix("\ufeff")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not a readable UTF-8 CSV file: {exc}") from exc
 
 
 def load_price_panel(path) -> PricePanel:
@@ -166,16 +226,14 @@ def load_price_panel(path) -> PricePanel:
     YYYY-MM-DD or not on the calendar, duplicate dates, or a panel
     smaller than 2 rows and 4 assets.
     """
+    text = _read_text(path)
+    panel = _read_block(text, path)
+    if panel is not None:
+        return panel
     try:
-        fh = open(path, "r", encoding="utf-8-sig", newline="")
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-
-    with fh:
-        try:
-            assets, rows = _read_rows(csv.reader(fh), path)
-        except (UnicodeDecodeError, csv.Error) as exc:
-            raise DataError(f"{path}: not a readable UTF-8 CSV file: {exc}") from exc
+        assets, rows = _read_rows(csv.reader(io.StringIO(text, newline="")), path)
+    except csv.Error as exc:
+        raise DataError(f"{path}: not a readable UTF-8 CSV file: {exc}") from exc
 
     if len(rows) < _MIN_ROWS:
         raise DataError(f"{path}: need at least {_MIN_ROWS} data rows, got {len(rows)}")

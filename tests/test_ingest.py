@@ -1,10 +1,15 @@
+import datetime
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import panels
+from marketstates import ingest
 from marketstates.errors import DataError
 from marketstates.ingest import (
     PricePanel,
@@ -159,6 +164,9 @@ def test_standardize_rejects_a_single_date():
          "line 2: date '2020-13-45' is not a calendar date"),
         ("date,A,B,C,D\n2021-02-28,1,1,1,1\n2021-02-29,2,2,2,2\n",
          "line 3: date '2021-02-29' is not a calendar date"),
+        # np.datetime64 reads year 0; date.fromisoformat does not
+        ("date,A,B,C,D\n0000-01-01,1,1,1,1\n2020-01-02,2,2,2,2\n",
+         "line 2: date '0000-01-01' is not a calendar date"),
         ("date,A,B,C,D\n20200101,1,1,1,1\n2020-01-02,2,2,2,2\n", "ISO-8601"),
         # Arabic-Indic digits: a Unicode digit is not an ISO-8601 one
         ("date,A,B,C,D\n\u0662\u0660\u0662\u0660-\u0660\u0661-\u0660\u0662,1,1,1,1\n"
@@ -226,3 +234,152 @@ def test_panel_validation_rejects_nonfinite_returns():
 def test_leap_day_is_a_calendar_date(tmp_path):
     body = "date,A,B,C,D\n2020-02-28,1,1,1,1\n2020-02-29,2,2,2,2\n2020-03-01,3,3,3,3\n"
     assert load_price_panel(_write(tmp_path, body)).dates[1] == "2020-02-29"
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        BASIC.replace("2.0,", '"2.0",').replace("BBB", '"BBB"'),
+        BASIC.replace("10.0,", "1_0.0,"),
+        BASIC.replace("\n", "\r"),
+        BASIC.replace("\n", "\r\n").replace("4.0,", '"4.0",'),
+        BASIC.replace("2020-01-02", " 2020-01-02 "),
+    ],
+    ids=["quoted", "underscore", "lone-cr", "crlf-quoted", "padded-date"],
+)
+def test_csv_path_reads_what_the_block_parse_refuses(tmp_path, body):
+    read_rows = mock.Mock(wraps=ingest._read_rows)
+    with mock.patch.object(ingest, "_read_rows", read_rows):
+        panel = load_price_panel(_write(tmp_path, body))
+    read_rows.assert_called_once()
+    plain = load_price_panel(_write(tmp_path, BASIC, "plain.csv"))
+    assert (panel.dates, panel.assets) == (plain.dates, plain.assets)
+    assert panel.values.tobytes() == plain.values.tobytes()
+
+
+def test_valid_files_take_the_block_parse(tmp_path, monkeypatch):
+    def refuse(reader, path):
+        raise AssertionError(f"{path} fell back to the csv path")
+
+    monkeypatch.setattr(ingest, "_read_rows", refuse)
+    prices = panels.returns_to_prices(panels.three_regime_panel(seed=2)[0])
+    panels.write_prices_csv(tmp_path / "panel.csv", prices)
+    panel = load_price_panel(tmp_path / "panel.csv")
+    assert (panel.dates, panel.assets) == (list(prices.dates), list(prices.assets))
+    assert panel.values.tobytes() == prices.values.tobytes()
+    basic = load_price_panel(_write(tmp_path, BASIC))
+    for body in (BASIC.replace("\n", "\r\n"), BASIC.replace("DDD", "#D")):
+        panel = load_price_panel(_write(tmp_path, body))
+        assert panel.values.tobytes() == basic.values.tobytes()
+    assert panel.assets[-1] == "#D"
+
+
+@pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"])
+def test_decode_error_gives_the_offset_in_the_file(tmp_path, bom):
+    rows = "".join(f"2020-01-01,{i}.5,2.5,3.5,4.5\n" for i in range(1, 2000))
+    data = bom + ("date,A,B,C,D\n" + rows).encode("utf-8")
+    offset = 19013  # past the first 8 KB read of a buffered text file
+    path = tmp_path / "bad.csv"
+    path.write_bytes(data[:offset] + b"\xff" + data[offset + 1:])
+    with pytest.raises(DataError) as caught:
+        load_price_panel(path)
+    assert str(caught.value) == (
+        f"{path}: not a readable UTF-8 CSV file: 'utf-8' codec can't decode "
+        f"byte 0xff in position {offset}: invalid start byte"
+    )
+
+
+# each trap is one the block parse must refuse, or read exactly as the csv
+# module and float() do
+_TRAP_NAMES = ['"Q"', " ", "A0", "#Q", "Q\x1c", "Q\x00"]
+_TRAP_DATES = ["0000-01-01", "2021-02-29", " 2020-01-05", "2020-01-05 ", "2020-1-05",
+               "20200105", "2020-W01-1", "", "#2020-01-05", '"2020-01-05"']
+_TRAP_CELLS = ["1_0", "\uff11", "\u0661", "1e-400", "inf", "nan", "-1", "0", "-0", "",
+               " 2.5 ", "#1", "1#", '"3.5"', '"1,5"', "1e400", "\x1c1", "1\x1f", "1\x00",
+               "0x10", "1d5", "0" * 131_073 + "1"]
+_TRAPS = ["header", "name", "date", "duplicate date", "cell", "row width", "few rows",
+          "whitespace line", "lone cr"]
+
+
+@st.composite
+def _csv_files(draw):
+    """(text, clean): a small valid price CSV with up to two traps, and whether it has none."""
+    n = draw(st.integers(4, 6))
+    header = [draw(st.sampled_from(["date", "Date", " DATE "]))] + [f"A{j}" for j in range(n)]
+    positive = st.floats(min_value=5e-324, max_value=1e300)
+    cell = st.one_of(positive.map(repr), positive.map("{:.6e}".format),
+                     st.integers(1, 10**20).map(str))
+    dates = draw(st.lists(st.dates(datetime.date(1, 1, 1)), min_size=2, max_size=8, unique=True))
+    rows = [[day.isoformat()] + [draw(cell) for _ in range(n)] for day in dates]
+    ends = [draw(st.sampled_from(["\n", "\r\n"]))] * (len(rows) + 1)
+    traps = draw(st.lists(st.sampled_from(_TRAPS), max_size=2))
+    for trap in traps:
+        t, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(1, n))
+        if trap == "header":
+            header[draw(st.sampled_from([0, j]))] = draw(st.sampled_from(["time", '"date"', ""]))
+        elif trap == "name":
+            header[j] = draw(st.sampled_from(_TRAP_NAMES))
+        elif trap == "date":
+            rows[t][0] = draw(st.sampled_from(_TRAP_DATES))
+        elif trap == "duplicate date":
+            rows[t][0] = rows[-1][0]
+        elif trap == "cell":
+            rows[t][j] = draw(st.sampled_from(_TRAP_CELLS))
+        elif trap == "row width":
+            rows[t] = draw(st.sampled_from([rows[t][:-1], rows[t] + ["1"], rows[t][:1]]))
+        elif trap == "lone cr":
+            ends[t] = "\r"
+    if "whitespace line" in traps:
+        rows.insert(draw(st.integers(0, len(rows))), [draw(st.sampled_from([" ", "\t"]))])
+        ends.append(ends[0])
+    if "few rows" in traps:
+        rows = rows[:draw(st.integers(0, 1))]
+    lines = [",".join(header)] + [",".join(row) for row in rows]
+    # blank lines, a missing final line end and a BOM are no traps
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(1, len(lines)))
+        lines.insert(at, "")
+        ends.insert(at, ends[0])
+    if draw(st.booleans()):
+        ends[len(lines) - 1] = ""
+    bom = draw(st.sampled_from(["", "\ufeff"]))
+    return bom + "".join(map(str.__add__, lines, ends)), not traps
+
+
+def _outcome(path):
+    try:
+        panel = load_price_panel(path)
+    except DataError as exc:
+        return str(exc)
+    return panel.dates, panel.assets, panel.values.tobytes()
+
+
+def _same_as_csv_path(path) -> bool:
+    """Assert the load matches the csv path's; True if the block parse read the file."""
+    with mock.patch.object(ingest, "_read_block", return_value=None):
+        expected = _outcome(path)
+    read_rows = mock.Mock(wraps=ingest._read_rows)
+    with mock.patch.object(ingest, "_read_rows", read_rows):
+        assert _outcome(path) == expected, path.read_bytes()[:200]
+    return not read_rows.called
+
+
+def test_each_trap_reads_as_on_the_csv_path(tmp_path):
+    row = "2020-01-03,4.0,1.0,10.0,3.0"
+    bodies = (
+        [BASIC.replace("BBB", name) for name in _TRAP_NAMES]
+        + [BASIC.replace("2020-01-02", day) for day in _TRAP_DATES]
+        + [BASIC.replace("4.0,", cell + ",") for cell in _TRAP_CELLS]
+        + [BASIC.replace(row, cut) for cut in (row + ",1", row + ",", row[:-4], row[:10])]
+    )
+    for body in bodies:
+        _same_as_csv_path(_write(tmp_path, body))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_csv_files())
+def test_block_parse_matches_the_csv_path(tmp_path_factory, case):
+    text, clean = case
+    path = tmp_path_factory.mktemp("differential") / "panel.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert _same_as_csv_path(path) or not clean
