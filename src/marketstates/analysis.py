@@ -1,9 +1,10 @@
 """Post-fit diagnostics.
 
 likelihood_ratio compares two fitted states pointwise: the per-date
-difference of their likelihood-mode scores, positive when the first
-state explains that date better. The switching penalty is a property of
-paths, not of single dates, so it never enters the ratio.
+difference of their scores, positive when the first state explains that
+date better; given the fit's own score matrix it takes the difference of
+two of its columns. The switching penalty is a property of paths, not of
+single dates, so it never enters the ratio.
 suggest_ratio_states ranks occupied states by mean equal-weight return.
 label_agreement matches the states of two label paths with an exact
 Hungarian method on their integer confusion counts (Kuhn, Naval Res.
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ingest import ReturnsPanel
-from .segment import StatePath, score_states
+from .segment import ScoreMatrix, StatePath, score_states
 
 
 @dataclass
@@ -30,12 +31,17 @@ class RatioSeries:
 
 
 def likelihood_ratio(
-    returns: ReturnsPanel, models, state_a: int, state_b: int
+    returns: ReturnsPanel, models, state_a: int, state_b: int, scores: ScoreMatrix | None = None
 ) -> RatioSeries:
     """Pointwise score difference between two states (penalty-free).
 
-    values[t] = score(t, state_a) - score(t, state_b) in likelihood mode;
-    swapping the states negates the series exactly.
+    values[t] = score(t, state_a) - score(t, state_b); swapping the states
+    negates the series exactly. scores, if given, is the T x len(models)
+    score matrix of these models on returns, such as fit's path.scores,
+    and the series is the difference of its columns state_a and state_b;
+    another shape is a ValueError. Left as None, the two states are
+    scored here. A column does not depend on the other models scored
+    with it, so both ways give the same bits.
     """
     k_len = len(models)
     for s in (state_a, state_b):
@@ -43,13 +49,17 @@ def likelihood_ratio(
             raise ValueError(f"state {s} out of range for {k_len} models")
     if state_a == state_b:
         raise ValueError("state_a and state_b must differ")
-    scores = score_states(returns, [models[state_a], models[state_b]], "likelihood")
-    return RatioSeries(
-        dates=list(returns.dates),
-        values=scores.values[:, 0] - scores.values[:, 1],
-        state_a=state_a,
-        state_b=state_b,
-    )
+    if scores is None:
+        values = score_states(returns, [models[state_a], models[state_b]]).values
+        a, b = values[:, 0], values[:, 1]
+    else:
+        values = scores.values
+        if values.shape != (len(returns.dates), k_len):
+            raise ValueError(
+                f"scores have shape {values.shape}, need {(len(returns.dates), k_len)}"
+            )
+        a, b = values[:, state_a], values[:, state_b]
+    return RatioSeries(dates=list(returns.dates), values=a - b, state_a=state_a, state_b=state_b)
 
 
 def suggest_ratio_states(path: StatePath, returns: ReturnsPanel) -> tuple:

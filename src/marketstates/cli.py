@@ -32,7 +32,7 @@ import numpy as np
 from .analysis import label_agreement, likelihood_ratio, suggest_ratio_states
 from .errors import ConfigError, DataError, EstimationError, FitError
 from .ingest import ReturnsPanel, load_price_panel, standardize_returns, to_log_returns
-from .segment import SCORING_MODES, SIMILARITY_MODES, ClusteringConfig, StatePath, fit
+from .segment import SIMILARITY_MODES, ClusteringConfig, StatePath, fit
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -96,8 +96,33 @@ def _write_csv(path: Path, header: str, dates, cells) -> None:
             fh.write(f"{date},{cell}\n")
 
 
-def _models_payload(models, occupancy, assets) -> dict:
-    """models.json content; occupancy[k] is the days state k holds in states.csv."""
+# json.dump's text for the floats that have no JSON literal
+_JSON_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+# an edge [i, j, value] opens at indent 8, so its items sit at indent 10
+_EDGE_PAD = "\n" + " " * 10
+
+
+def _json_floats(values) -> list:
+    """The text json.dump writes for each float: its repr, or NaN / Infinity."""
+    return [_JSON_FLOATS.get(text, text) for text in map(repr, values)]
+
+
+def _json_list(items: list, indent: int) -> str:
+    """items, each JSON text already, as json.dump(indent=2) writes a list at indent."""
+    if not items:
+        return "[]"
+    pad = " " * (indent + 2)
+    return f"[\n{pad}" + f",\n{pad}".join(items) + f"\n{' ' * indent}]"
+
+
+def _write_models(path: Path, models, occupancy, assets) -> None:
+    """Write models.json; occupancy[k] is the days state k holds in states.csv.
+
+    The file is {"assets": [...], "states": [{"diagonal", "edges", "label",
+    "log_det", "mu", "occupancy"}, ...]}, formatted here to the bytes that
+    json.dump(payload, fh, indent=2, sort_keys=True) plus a newline writes:
+    json's indent mode runs its pure-Python encoder.
+    """
     states = []
     for model, days in zip(models, occupancy):
         # the upper-triangle entries come sorted by (i, j), so the edges
@@ -107,18 +132,21 @@ def _models_payload(models, occupancy, assets) -> dict:
         off = i != j
         diagonal = np.zeros(precision.n)
         diagonal[i[~off]] = precision.sums[~off]
-        edges = zip(i[off].tolist(), j[off].tolist(), precision.sums[off].tolist())
-        states.append(
-            {
-                "label": int(model.label),
-                "mu": [float(v) for v in model.mu],
-                "log_det": float(precision.log_det),
-                "occupancy": int(days),
-                "diagonal": diagonal.tolist(),
-                "edges": [list(edge) for edge in edges],
-            }
+        edges = zip(i[off].tolist(), j[off].tolist(), _json_floats(precision.sums[off].tolist()))
+        members = (
+            ("diagonal", _json_list(_json_floats(diagonal.tolist()), 6)),
+            ("edges", _json_list([f"[{_EDGE_PAD}{a},{_EDGE_PAD}{b},{_EDGE_PAD}{v}\n        ]"
+                                  for a, b, v in edges], 6)),
+            ("label", f"{int(model.label)}"),
+            ("log_det", _json_floats([float(precision.log_det)])[0]),
+            ("mu", _json_list(_json_floats(np.asarray(model.mu, dtype=float).tolist()), 6)),
+            ("occupancy", f"{int(days)}"),
         )
-    return {"assets": list(assets), "states": states}
+        states.append("{\n" + ",\n".join(f'      "{key}": {text}' for key, text in members)
+                      + "\n    }")
+    names = _json_list([json.dumps(name) for name in assets], 2)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f'{{\n  "assets": {names},\n  "states": {_json_list(states, 2)}\n}}\n')
 
 
 def _report_failure(exc: Exception, config: RunConfig | None, report_dir: Path | None):
@@ -163,15 +191,13 @@ def run_fit(config: RunConfig, returns: ReturnsPanel, *, memo=None) -> StatePath
         except ValueError as exc:
             raise FitError(str(exc)) from exc
     if ratio_pair is not None:
-        series = likelihood_ratio(returns, models, ratio_pair[0], ratio_pair[1])
+        series = likelihood_ratio(returns, models, *ratio_pair, scores=path.scores)
 
     _write_csv(out_dir / "states.csv", "date,label", returns.dates, map(int, path.labels))
     if series is not None:
         cells = (repr(float(v)) for v in series.values)
         _write_csv(out_dir / "ratio.csv", "date,value", series.dates, cells)
-    _write_json(
-        out_dir / "models.json", _models_payload(models, report.occupancy, returns.assets)
-    )
+    _write_models(out_dir / "models.json", models, report.occupancy, returns.assets)
 
     payload = {"status": "ok", "config": asdict(config), **asdict(report)}
     if series is not None:
@@ -280,14 +306,12 @@ def build_parser() -> argparse.ArgumentParser:
                         help="number of states (default %(default)s)")
     parser.add_argument("--gamma", type=float, help="switching penalty (default %(default)s)")
     parser.add_argument(
-        "--mode", dest="scoring_mode", choices=SCORING_MODES,
-        help="scoring mode; mahalanobis drops the log-determinant term (default %(default)s)",
-    )
-    parser.add_argument(
         "--similarity", dest="similarity_mode", choices=SIMILARITY_MODES,
         help="correlation transform used to build each state's graph (default %(default)s)",
     )
-    parser.add_argument("--standardize", action="store_true", help="z-score each asset first")
+    parser.add_argument("--standardize", action="store_true",
+                        help="z-score each asset first; this changes models.json and "
+                        "the objective, but no label and no ratio of a given pair of states")
     parser.add_argument("--max-iter", dest="max_iterations", type=int,
                         help="fit iteration budget (default %(default)s)")
     parser.add_argument("--seed", type=int,

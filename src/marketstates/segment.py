@@ -23,7 +23,6 @@ from .errors import ConfigError, EstimationError, FitError
 from .ifn import SparsePrecision, TmfgGraph, build_tmfg, logo_precision
 from .ingest import ReturnsPanel
 
-SCORING_MODES = ("likelihood", "mahalanobis")
 SIMILARITY_MODES = ("signed", "absolute", "squared")
 
 
@@ -48,7 +47,6 @@ class ClusteringConfig:
 
     n_clusters: int = 4
     gamma: float = 100.0
-    scoring_mode: str = "likelihood"
     similarity_mode: str = "signed"
     max_iterations: int = 50
     seed: int = 0
@@ -62,8 +60,6 @@ class ClusteringConfig:
             raise ConfigError(f"gamma must be a real number other than a bool, got {self.gamma!r}")
         if not 0.0 <= self.gamma < np.inf:  # NaN fails both comparisons
             raise ConfigError(f"gamma must be finite and >= 0, got {self.gamma}")
-        if self.scoring_mode not in SCORING_MODES:
-            raise ConfigError(f"scoring_mode must be one of {SCORING_MODES}, got {self.scoring_mode!r}")
         if self.similarity_mode not in SIMILARITY_MODES:
             raise ConfigError(
                 f"similarity_mode must be one of {SIMILARITY_MODES}, got {self.similarity_mode!r}"
@@ -113,11 +109,18 @@ class ScoreMatrix:
 
 @dataclass
 class StatePath:
-    """A label per time point plus the penalized objective it achieves."""
+    """A label per time point plus the penalized objective it achieves.
+
+    scores is the matrix solve_path solved on, the object itself, not a
+    copy. In fit's result its column k is the score of models[k], so the
+    fit's likelihood ratio needs no second scoring. It is in no output
+    file.
+    """
 
     labels: np.ndarray
     objective: float
     switches: int
+    scores: ScoreMatrix | None = None
 
 
 @dataclass
@@ -137,14 +140,14 @@ class FitReport:
 def score_states(returns: ReturnsPanel, models, mode: str = "likelihood") -> ScoreMatrix:
     """Score every (time point, state) pair, penalty excluded.
 
-    likelihood mode: -0.5 d' J d + 0.5 log |J| with d = x_t - mu_k;
-    mahalanobis mode drops the log-determinant term. Each J is scattered
-    into a dense n x n array for the product d @ J, one code path for
-    every n. A column depends on its own model only, bit for bit, so a
-    refit scores just the states it re-estimated.
+    The score is -0.5 d' J d + 0.5 log |J| with d = x_t - mu_k; "likelihood"
+    is the one mode. Each J is scattered into a dense n x n array for the
+    product d @ J, one code path for every n. A column depends on its own
+    model only, bit for bit, so a refit scores just the states it
+    re-estimated.
     """
-    if mode not in SCORING_MODES:
-        raise ConfigError(f"scoring mode must be one of {SCORING_MODES}, got {mode!r}")
+    if mode != "likelihood":
+        raise ConfigError(f"scoring mode must be 'likelihood', got {mode!r}")
     if not models:
         raise ValueError("need at least 1 state model, got none")
     x = returns.values
@@ -156,9 +159,7 @@ def score_states(returns: ReturnsPanel, models, mode: str = "likelihood") -> Sco
             raise ValueError(f"state {k} dimension does not match panel width {n}")
         d = x - mu
         quad = np.einsum("ti,ti->t", d, d @ model.precision.dense())
-        values[:, k] = -0.5 * quad
-        if mode == "likelihood":
-            values[:, k] += 0.5 * model.precision.log_det
+        values[:, k] = -0.5 * quad + 0.5 * model.precision.log_det
     return ScoreMatrix(values=values)
 
 
@@ -211,7 +212,7 @@ def solve_path(scores: ScoreMatrix, gamma: float) -> StatePath:
 
     switches = int(np.count_nonzero(np.diff(labels)))
     objective = float(v[np.arange(t_len), labels].sum() - gamma * switches)
-    return StatePath(labels=labels, objective=objective, switches=switches)
+    return StatePath(labels=labels, objective=objective, switches=switches, scores=scores)
 
 
 def _similarity_matrix(cov: np.ndarray, mode: str) -> np.ndarray:
@@ -276,14 +277,14 @@ def _fit_once(panel: ReturnsPanel, config: ClusteringConfig, labels, memo):
     # A start's models and score values come from and go into memo, if
     # given; refits write score columns in place, so a hit takes a copy.
     memo = {} if memo is None else memo
-    key = (labels.tobytes(), config.similarity_mode, config.scoring_mode)
+    key = (labels.tobytes(), config.similarity_mode)
     if key not in memo:
         days = (np.flatnonzero(labels == k) for k in range(config.n_clusters))
         try:
             start = [estimate_cluster(panel, idx, config, label=k) for k, idx in enumerate(days)]
         except EstimationError as exc:
             raise FitError(f"state estimation failed: {exc}") from exc
-        memo[key] = (start, score_states(panel, start, config.scoring_mode).values)
+        memo[key] = (start, score_states(panel, start).values)
     start, values = memo[key]
     models = list(start)
     scores = ScoreMatrix(values.copy())
@@ -314,7 +315,7 @@ def _fit_once(panel: ReturnsPanel, config: ClusteringConfig, labels, memo):
             except EstimationError:
                 repairs += 1
         if refit:
-            fresh = score_states(panel, list(refit.values()), config.scoring_mode).values
+            fresh = score_states(panel, list(refit.values())).values
             for j, (k, model) in enumerate(refit.items()):
                 days = path.labels == k
                 if fresh[days, j].sum() < scores.values[days, k].sum():
@@ -362,14 +363,16 @@ def fit(returns: ReturnsPanel, config: ClusteringConfig, *, memo=None):
     min_cluster_size points per state) drawn from config.seed. The first
     start with the best final objective is returned.
 
-    memo, if given, is a dict from (start label bytes, similarity mode,
-    scoring mode) to that start's K models and T x K score values: fits
-    that start from the same labels, such as the sweep cells that share
-    K, estimate and score them once. One entry holds one T x K float
-    matrix. Its keys hold labels, not data, so one memo is only valid for
-    one returns panel. Left as None, no start is kept.
+    memo, if given, is a dict from (start label bytes, similarity mode)
+    to that start's K models and T x K score values: fits that start from
+    the same labels, such as the sweep cells that share K, estimate and
+    score them once. One entry holds one T x K float matrix. Its keys
+    hold labels, not data, so one memo is only valid for one returns
+    panel. Left as None, no start is kept.
 
-    Returns (models, path, report).
+    Returns (models, path, report). path.scores holds the scores the last
+    assignment was solved on; column k is models[k]'s, a kept model's
+    included.
     """
     config.validate()
     t_len, n = returns.values.shape

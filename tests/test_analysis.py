@@ -5,15 +5,17 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 import panels
+from marketstates import segment
 from marketstates.analysis import (
     _matched_sum,
     label_agreement,
     likelihood_ratio,
     suggest_ratio_states,
 )
+from marketstates.errors import EstimationError
 from marketstates.ifn import build_tmfg, logo_precision
 from marketstates.ingest import ReturnsPanel
-from marketstates.segment import ClusteringConfig, ClusterModel, StatePath, fit
+from marketstates.segment import ClusteringConfig, ClusterModel, ScoreMatrix, StatePath, fit
 
 
 def _panel(values):
@@ -88,6 +90,60 @@ def test_ratio_rejects_bad_states(rng):
         likelihood_ratio(panel, models, 0, 0)
     with pytest.raises(ValueError):
         likelihood_ratio(panel, models, 0, 5)
+
+
+def _assert_ratio_from_fit_scores(panel, models, path):
+    """Every pair's ratio from path.scores equals the rescored one, bit for bit."""
+    assert path.scores.values.shape == (len(panel.dates), len(models))
+    for a, b in itertools.permutations(range(len(models)), 2):
+        taken = likelihood_ratio(panel, models, a, b, scores=path.scores)
+        rescored = likelihood_ratio(panel, models, a, b)
+        assert np.array_equal(taken.values, rescored.values), (a, b)
+        assert (taken.state_a, taken.state_b, taken.dates) == (a, b, rescored.dates)
+
+
+@pytest.mark.parametrize("max_iterations", [50, 1])
+def test_ratio_from_the_fit_scores_is_the_rescored_one(three_regime, max_iterations):
+    panel, _ = three_regime
+    # four states on three regimes: the start is not yet a fixed point
+    config = ClusteringConfig(n_clusters=4, gamma=100.0, seed=0, max_iterations=max_iterations)
+    models, path, report = fit(panel, config)
+    assert report.converged == (max_iterations == 50) == (report.iterations > 1)
+    _assert_ratio_from_fit_scores(panel, models, path)
+
+
+@pytest.mark.parametrize("rejection", ["estimate failed", "refit scored worse"])
+def test_ratio_from_the_fit_scores_after_a_rejected_refit(three_regime, monkeypatch, rejection):
+    # the first estimate after the start raises or has its mean moved 5
+    # sigma off its days, so its state keeps its first model and column
+    panel, _ = three_regime
+    config = ClusteringConfig(n_clusters=3, gamma=0.0, seed=0, max_iterations=2)
+    estimate = segment.estimate_cluster
+    calls = []
+
+    def rejected_once(returns, member_indices, config, label=0):
+        calls.append(label)
+        model = estimate(returns, member_indices, config, label=label)
+        if len(calls) == config.n_clusters + 1:
+            if rejection == "estimate failed":
+                raise EstimationError(f"state {label}: forced failure")
+            sigma = returns.values[np.asarray(member_indices)].std(axis=0)
+            model = ClusterModel(label, model.mu + 5.0 * sigma, model.precision,
+                                 model.graph, model.member_count)
+        return model
+
+    monkeypatch.setattr(segment, "estimate_cluster", rejected_once)
+    models, path, report = fit(panel, config)
+    assert report.iterations == 2 and report.repairs >= 1
+    _assert_ratio_from_fit_scores(panel, models, path)
+
+
+def test_ratio_rejects_scores_of_another_shape(rng):
+    models = [_model(rng, 5, k) for k in range(3)]
+    panel = _panel(rng.normal(size=(10, 5)))
+    for shape in ((10, 2), (9, 3), (10, 4)):
+        with pytest.raises(ValueError, match="shape"):
+            likelihood_ratio(panel, models, 0, 1, scores=ScoreMatrix(np.zeros(shape)))
 
 
 def test_suggest_ratio_states_orders_by_mean_return(rng):

@@ -15,9 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import panels
-from marketstates import cli, segment
+from marketstates import analysis, cli, segment
 from marketstates.cli import main
-from marketstates.ifn import build_tmfg, logo_precision
+from marketstates.ifn import SparsePrecision, build_tmfg, logo_precision
 
 
 @pytest.fixture(scope="module")
@@ -154,7 +154,6 @@ _FIT_FILES = {"states.csv", "models.json"}
 _FLAG_CASES = [
     (["--clusters", 3], ("clustering", "n_clusters"), 3, _FIT_FILES),
     (["--gamma", 0], ("clustering", "gamma"), 0.0, _FIT_FILES),
-    (["--mode", "mahalanobis"], ("clustering", "scoring_mode"), "mahalanobis", _FIT_FILES),
     (["--similarity", "absolute"], ("clustering", "similarity_mode"), "absolute", _FIT_FILES),
     (["--standardize"], ("standardize",), True, _FIT_FILES),
     (["--max-iter", 1], ("clustering", "max_iterations"), 1, _FIT_FILES),
@@ -233,6 +232,7 @@ def test_exit_code_on_bad_config(price_csv, tmp_path, capsys):
         ["--min-cluster-size", 400],
         ["--sweep-gamma", "nan"],
         ["--seed", -1],
+        ["--mode", "likelihood"],  # one scoring mode, so no flag to choose it
     ):
         assert _run(base + extra) == 1, extra
         _one_stderr_line(capsys)
@@ -489,7 +489,7 @@ def test_sweep_estimates_each_state_once(price_csv, tmp_path, monkeypatch):
         return build(similarity)
 
     monkeypatch.setattr(segment, "build_tmfg", counting_build)
-    # and scored once; analysis scores the ratio through its own import
+    # and scored once; the ratio takes its columns from the fit's scores
     scored = []
     score = segment.score_states
 
@@ -599,7 +599,7 @@ codes = [
     cli.main(["--input", data, "--output", out + "/sweep", "--sweep-k", "2,3",
               "--sweep-gamma", "10", "--max-iter", "2", "--ratio", "auto"]),
     cli.main(["--input", data, "--output", out + "/fit", "--clusters", "3",
-              "--max-iter", "2", "--ratio", "0,1", "--mode", "mahalanobis"]),
+              "--max-iter", "2", "--ratio", "0,1"]),
 ]
 print(json.dumps({"import": after_import, "main": loaded(), "codes": codes}))
 """
@@ -683,13 +683,87 @@ def test_models_json_matches_the_csr_payload(tmp_path):
         assert 0.0 in models[1].precision.sums
         assets = [f"A{i}" for i in range(n)]
         occupancy = [n, 0]  # days held in states.csv, not the estimation days
-        payload = cli._models_payload(models, occupancy, assets)
-        cli._write_json(tmp_path / "models.json", payload)
+        cli._write_models(tmp_path / "models.json", models, occupancy, assets)
         with open(tmp_path / "old.json", "w", encoding="utf-8") as fh:
             expected = _csr_models_payload(models, occupancy, assets)
             json.dump(expected, fh, indent=2, sort_keys=True)
             fh.write("\n")
         assert (tmp_path / "models.json").read_bytes() == (tmp_path / "old.json").read_bytes(), n
+
+
+# floats whose JSON text is easy to get wrong, and names json escapes
+_JSON_FLOATS = st.one_of(
+    st.sampled_from([-0.0, 0.0, 1e-300, 1e16, 5e-324, -1e22, 1.7976931348623157e308, 0.1,
+                     float("nan"), float("inf"), float("-inf")]),
+    st.floats(),
+)
+_JSON_NAMES = st.one_of(
+    st.sampled_from(["é", "日経", 'say "hi"', "back\\slash", "tab\t", "\u2028", "😀", "\x7f"]),
+    st.text(min_size=1, max_size=6),
+)
+
+
+@st.composite
+def _models_file(draw):
+    """(models, occupancy, assets, the json payload they stand for)."""
+    n = draw(st.integers(1, 6))
+    assets = draw(st.lists(_JSON_NAMES, min_size=n, max_size=n))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    models, occupancy, states = [], [], []
+    for k in range(draw(st.integers(1, 3))):
+        mu = draw(st.lists(_JSON_FLOATS, min_size=n, max_size=n))
+        diagonal = draw(st.lists(_JSON_FLOATS, min_size=n, max_size=n))
+        edges = sorted(draw(st.lists(st.sampled_from(pairs), unique=True))) if pairs else []
+        weights = draw(st.lists(_JSON_FLOATS, min_size=len(edges), max_size=len(edges)))
+        log_det = draw(_JSON_FLOATS)
+        days = draw(st.integers(0, 10**6))
+        entries = sorted([((i, i), v) for i, v in enumerate(diagonal)]
+                         + [(edge, v) for edge, v in zip(edges, weights)])
+        precision = SparsePrecision(
+            n=n, upper=np.array([i * n + j for (i, j), _ in entries], dtype=np.int64),
+            sums=np.array([v for _, v in entries]), log_det=log_det,
+        )
+        models.append(segment.ClusterModel(k, np.array(mu), precision, None, 0))
+        occupancy.append(days)
+        states.append({
+            "label": k, "mu": mu, "log_det": log_det, "occupancy": days,
+            "diagonal": diagonal, "edges": [[i, j, v] for (i, j), v in zip(edges, weights)],
+        })
+    return models, occupancy, assets, {"assets": assets, "states": states}
+
+
+@settings(max_examples=200, deadline=None)
+@given(drawn=_models_file())
+def test_models_writer_matches_json_dump(drawn):
+    models, occupancy, assets, payload = drawn
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "models.json"
+        cli._write_models(path, models, occupancy, assets)
+        written = path.read_bytes()
+    expected = io.StringIO()
+    json.dump(payload, expected, indent=2, sort_keys=True)
+    assert written == (expected.getvalue() + "\n").encode("utf-8")
+
+
+def test_ratio_takes_the_fit_scores(price_csv, tmp_path, monkeypatch):
+    # the ratio is the difference of two of the fit's own score columns:
+    # analysis scores nothing, and the file is the one a rescoring writes
+    def no_rescoring(*args, **kwargs):
+        raise AssertionError("the ratio states were scored a second time")
+
+    monkeypatch.setattr(analysis, "score_states", no_rescoring)
+    base = ["--input", price_csv, "--clusters", 4, "--ratio", "auto"]
+    assert _run(base + ["--output", tmp_path / "once"]) == 0
+    monkeypatch.undo()
+    ratio = cli.likelihood_ratio
+
+    def rescoring(returns, models, state_a, state_b, scores):
+        return ratio(returns, models, state_a, state_b)
+
+    monkeypatch.setattr(cli, "likelihood_ratio", rescoring)
+    assert _run(base + ["--output", tmp_path / "rescored"]) == 0
+    once, rescored = (tmp_path / name / "ratio.csv" for name in ("once", "rescored"))
+    assert once.read_bytes() == rescored.read_bytes()
 
 
 # --- the exit-code contract under generated inputs
@@ -747,7 +821,6 @@ def _flag(name, values):
 _ARGV = st.tuples(
     _flag("--clusters", ["2", "3"]),
     _flag("--gamma", ["0", "5", "100", "1e9"]),
-    _flag("--mode", ["likelihood", "mahalanobis"]),
     _flag("--similarity", ["signed", "absolute", "squared"]),
     st.sampled_from([[], ["--standardize"]]),
     _flag("--max-iter", ["1", "3"]),

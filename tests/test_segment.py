@@ -13,7 +13,6 @@ from marketstates.errors import ConfigError, EstimationError, FitError
 from marketstates.ifn import build_tmfg, logo_precision
 from marketstates.ingest import ReturnsPanel, standardize_returns
 from marketstates.segment import (
-    SCORING_MODES,
     ClusteringConfig,
     ClusterModel,
     ScoreMatrix,
@@ -92,7 +91,6 @@ def test_config_defaults():
     config = ClusteringConfig()
     assert config.n_clusters == 4
     assert config.gamma == 100.0
-    assert config.scoring_mode == "likelihood"
     assert config.max_iterations == 50
     assert config.resolved_min_cluster_size(10) == 11
     assert config.resolved_min_cluster_size(3) == 5  # floor
@@ -105,7 +103,7 @@ def test_config_defaults():
         {"n_clusters": 2.5},
         {"gamma": -1.0},
         {"gamma": float("nan")},
-        {"scoring_mode": "bayes"},
+        {"max_iterations": 2.5},
         {"similarity_mode": "cosine"},
         {"max_iterations": 0},
         {"min_cluster_size": 4},
@@ -165,8 +163,8 @@ def test_score_at_mean_with_identity_precision(rng):
     scores = score_states(panel, [model_a, model_b], "likelihood")
     # quadratic term vanishes at the mean and log|I| = 0
     assert np.allclose(scores.values[:, 0], 0.0, atol=1e-12)
-    mah = score_states(panel, [model_a, model_b], "mahalanobis")
-    assert np.allclose(mah.values[:, 0], 0.0, atol=1e-12)
+    quad = scores.values[:, 0] - 0.5 * model_a.precision.log_det
+    assert np.allclose(quad, 0.0, atol=1e-12)
 
 
 def test_score_matches_dense_formula(rng):
@@ -180,10 +178,12 @@ def test_score_matches_dense_formula(rng):
             d = panel.values[t] - model.mu
             expected = -0.5 * d @ dense @ d + 0.5 * model.precision.log_det
             assert scores.values[t, k] == pytest.approx(expected, abs=1e-12)
-    mah = score_states(panel, models, "mahalanobis")
+    # the quadratic term alone, with the log-determinant term taken off
     for k, model in enumerate(models):
+        d = panel.values - model.mu
+        quad = np.einsum("ti,ti->t", d, d @ model.precision.matrix.toarray())
         shift = 0.5 * model.precision.log_det
-        assert np.allclose(scores.values[:, k] - mah.values[:, k], shift, atol=1e-12)
+        assert np.allclose(scores.values[:, k] - shift, -0.5 * quad, atol=1e-12)
 
 
 def test_dense_scores_match_csr_product(rng):
@@ -192,11 +192,12 @@ def test_dense_scores_match_csr_product(rng):
     for t_len, n in ((50, 4), (40, 12), (30, 60)):
         panel = _panel(rng.normal(size=(t_len, n)))
         models = [_model(rng, n, label=k) for k in range(3)]
-        scores = score_states(panel, models, "mahalanobis")
+        scores = score_states(panel, models, "likelihood")
         for k, model in enumerate(models):
             d = panel.values - model.mu
             quad = np.einsum("ti,ti->t", d, (model.precision.matrix @ d.T).T)
-            assert np.allclose(scores.values[:, k], -0.5 * quad, rtol=1e-12, atol=0.0)
+            shift = 0.5 * model.precision.log_det
+            assert np.allclose(scores.values[:, k] - shift, -0.5 * quad, rtol=1e-12, atol=0.0)
 
 
 def test_identical_models_identical_columns(rng):
@@ -212,14 +213,15 @@ def test_one_model_scores_as_its_column_of_many(rng):
     # depend on the other models in the call
     panel = _panel(rng.normal(size=(60, 9)))
     models = [_model(rng, 9, label=k) for k in range(4)]
-    for mode in SCORING_MODES:
-        together = score_states(panel, models, mode).values
-        for k, model in enumerate(models):
-            alone = score_states(panel, [model], mode).values
-            assert alone.shape == (60, 1)
-            assert np.array_equal(alone[:, 0], together[:, k])
+    together = score_states(panel, models).values
+    for k, model in enumerate(models):
+        alone = score_states(panel, [model]).values
+        assert alone.shape == (60, 1)
+        assert np.array_equal(alone[:, 0], together[:, k])
     with pytest.raises(ValueError, match="at least 1 state model"):
         score_states(panel, [])
+    with pytest.raises(ConfigError, match="'likelihood'"):
+        score_states(panel, models, "mahalanobis")
 
 
 def test_score_matrix_rejects_nonfinite():
@@ -438,19 +440,6 @@ def test_fit_standardize_flag(three_regime):
     assert panels.matched_accuracy(path.labels, truth) >= 0.9
 
 
-def test_fit_mahalanobis_mode(rng):
-    # without the log-determinant term only mean separation can drive the
-    # assignment, so the regimes here share one covariance
-    n = 6
-    cov = (0.01**2) * np.eye(n)
-    a = rng.multivariate_normal(np.full(n, 0.02), cov, size=100)
-    b = rng.multivariate_normal(np.full(n, -0.02), cov, size=100)
-    truth = np.repeat([0, 1], 100)
-    config = ClusteringConfig(n_clusters=2, gamma=10.0, seed=0, scoring_mode="mahalanobis")
-    _, path, _ = fit(_panel(np.vstack([a, b])), config)
-    assert panels.matched_accuracy(path.labels, truth) >= 0.9
-
-
 def test_fit_restarts_only_improve(three_regime):
     panel, _ = three_regime
     base = ClusteringConfig(n_clusters=2, gamma=100.0, seed=0)
@@ -484,19 +473,17 @@ def test_fit_degenerate_panel_fails_cleanly():
 def test_monotone_improvement_between_iterations(three_regime):
     # the assignment is exact for fixed models, and a refit keeps a state's
     # old model when the new one scores the state's days worse, so no step
-    # falls beyond rounding in either mode; mahalanobis K=2 falls without
-    # the rule
+    # falls beyond rounding
     panel, _ = three_regime
     steps_seen = 0
-    for mode in SCORING_MODES:
-        for k in (2, 4):
-            config = ClusteringConfig(n_clusters=k, gamma=100.0, seed=0, scoring_mode=mode)
-            _, _, report = fit(panel, config)
-            assert report.converged, (mode, k)
-            trajectory = report.objective_trajectory
-            for before, after in zip(trajectory, trajectory[1:]):
-                assert after >= before - 1e-9 * abs(before), (mode, k, trajectory)
-            steps_seen += len(trajectory) - 1
+    for k, gamma in itertools.product((2, 4), (0.0, 100.0)):
+        config = ClusteringConfig(n_clusters=k, gamma=gamma, seed=0)
+        _, _, report = fit(panel, config)
+        assert report.converged, (k, gamma)
+        trajectory = report.objective_trajectory
+        for before, after in zip(trajectory, trajectory[1:]):
+            assert after >= before - 1e-9 * abs(before), (k, gamma, trajectory)
+        steps_seen += len(trajectory) - 1
     assert steps_seen >= 4
 
 
@@ -807,17 +794,13 @@ def test_shared_memo_gives_the_same_fit(three_regime):
     # the memo is warmed under every setting it keys on, so a key that
     # left one out would hand a fit another setting's states or scores
     panel, _ = three_regime
-    keyed = list(itertools.product(segment.SIMILARITY_MODES, SCORING_MODES))
     memo = {}
-    for similarity, scoring in keyed:
-        warm = ClusteringConfig(
-            n_clusters=3, gamma=10.0, seed=0, similarity_mode=similarity, scoring_mode=scoring
-        )
+    for similarity in segment.SIMILARITY_MODES:
+        warm = ClusteringConfig(n_clusters=3, gamma=10.0, seed=0, similarity_mode=similarity)
         fit(panel, warm, memo=memo)
-    for similarity, scoring in keyed:
+    for similarity in segment.SIMILARITY_MODES:
         config = ClusteringConfig(
-            n_clusters=3, gamma=100.0, seed=0, restarts=2,
-            similarity_mode=similarity, scoring_mode=scoring,
+            n_clusters=3, gamma=100.0, seed=0, restarts=2, similarity_mode=similarity
         )
         _assert_same_fit(fit(panel, config), fit(panel, config, memo=memo))
 
@@ -832,7 +815,7 @@ def test_memo_keeps_only_the_starting_states(three_regime, monkeypatch):
     fit(panel, config, memo=memo)
     assert len(memo) == 1 + 3
     blocks = np.repeat(np.arange(3), 200)
-    assert (blocks.tobytes(), "signed", "likelihood") in memo
+    assert (blocks.tobytes(), "signed") in memo
     assert len(calls) > 3 * len(memo)  # the refits estimated states too
     # a second fit of the same panel estimates only its refit states
     first = list(calls)
