@@ -6,7 +6,9 @@ and then repeatedly inserting the (vertex, triangular face) pair that adds
 the most similarity weight. As in the original construction (Massara,
 Di Matteo & Aste, J. Complex Networks 2016), each face keeps its best
 remaining vertex, and an insertion rescans only the faces it made stale:
-the three new faces and those whose best vertex it took.
+the three new faces and those whose best vertex it took. Each face's row
+of gains over all vertices is summed once, when the face is made, and
+kept, so a rescan only takes the argmax of kept rows.
 
 Because every maximal clique has size 4 and every separator size 3, the
 inverse covariance restricted to that structure has a closed form: the
@@ -15,10 +17,12 @@ separator sub-covariances, and its log-determinant is the matching
 difference of sub-covariance log-determinants.
 
 The block algebra is batched: the 4x4 clique blocks and the 3x3
-separator blocks each form one stack that one numpy call conditions,
-factorizes or inverts. Only the sums over blocks keep a fixed order (see
-logo_precision and logdet_precision), so results equal those of a
-block-by-block loop bit for bit.
+separator blocks each form one stack that one numpy call factorizes or
+inverts. A condition number, which takes an SVD, is computed only for the
+blocks that a bound from the determinant cannot clear (see _blocks).
+Only the sums over blocks keep a fixed order (see logo_precision and
+logdet_precision), so results equal those of a block-by-block loop bit
+for bit.
 
 Everything here runs on numpy alone. A SparsePrecision holds J as its
 sorted upper-triangle entries; scipy, a test dependency, is imported only
@@ -38,6 +42,8 @@ from .errors import SingularSubmatrixError
 # do not abort the fit.
 _RIDGE_CONDITION_LIMIT = 1e12
 _RIDGE_EPS = 1e-8
+# a block whose log condition-number bound is below this cannot be ridged
+_LOG_BOUND_LIMIT = np.log(_RIDGE_CONDITION_LIMIT) - np.log(2.0)
 
 
 @dataclass
@@ -99,7 +105,7 @@ class SparsePrecision:
         return sp.csr_matrix((data, (rows, cols)), shape=(self.n, self.n))
 
 
-# elements per temporary of the row-block symmetry check
+# elements per temporary of the row-block symmetry check and of a TMFG rescan
 _BLOCK_ELEMENTS = 8192
 
 
@@ -156,58 +162,81 @@ def build_tmfg(similarity) -> TmfgGraph:
     lowest best vertex, then the oldest. This is the best (vertex, face)
     pair over all pairs, ties toward the lowest vertex and then the
     oldest face. After inserting v, only the faces whose best vertex was
-    v and the three new faces are rescanned, in one batched call. The
-    same rule holds for every n. Deterministic for a given input.
+    v and the three new faces are rescanned. The same rule holds for
+    every n. Deterministic for a given input.
+
+    Each face's gain row, (w[:, a] + w[:, b]) + w[:, c] over all vertices
+    with a < b < c, is summed once, when the face is made, and kept in a
+    (3n - 8) x n float array: 1.5 MB at n = 250, beside the n x n
+    transposed copy of the similarity. A placed vertex's column is set to
+    -inf in that copy and in every kept row, so a rescan gathers the kept
+    rows of the stale faces and takes their argmax.
     """
     w = _validate_similarity(similarity)
     n = w.shape[0]
     seed = _seed_greedy(w)
-    # row u of w_t is column u of w, so w_t[a] + w_t[b] + w_t[c] holds
-    # w[v, a] + w[v, b] + w[v, c] for every v, summed in that order; only
-    # w_t is read from here on, so w is dropped to keep one n x n copy
+    # row u of w_t is column u of w, so (w_t[a] + w_t[b]) + w_t[c] holds
+    # w[v, a] + w[v, b] + w[v, c] for every unplaced v, summed in that
+    # order, and -inf for every placed v; only w_t is read from here on,
+    # so w is dropped to keep one n x n copy
     w_t = np.ascontiguousarray(w.T)
     del w
+    w_t[:, seed] = -np.inf
 
     cliques = [seed]
     separators: list = []
 
-    # per face, in creation order: its sorted vertices, best remaining
-    # vertex (-1 once consumed) and that vertex's gain (-inf once consumed)
-    capacity = 3 * n - 8
-    face_vertices = np.empty((capacity, 3), dtype=np.intp)
-    face_vertices[:4] = list(itertools.combinations(seed, 3))
-    best_vertex = np.full(capacity, -1, dtype=np.intp)
-    best_gain = np.full(capacity, -np.inf)
-    placed = np.zeros(n, dtype=bool)
-    placed[list(seed)] = True
+    # per face, in creation order: its sorted vertices, its gain row, best
+    # remaining vertex (-1 once consumed) and that vertex's gain (-inf
+    # once consumed)
+    faces: list = []
+    gain_rows = np.empty((3 * n - 8, n))
+    best_vertex = np.full(len(gain_rows), -1, dtype=np.intp)
+    best_gain = np.full(len(gain_rows), -np.inf)
+
+    def add_face(face: tuple) -> None:
+        a, b, c = face
+        row = gain_rows[len(faces)]
+        np.add(w_t[a], w_t[b], out=row)
+        row += w_t[c]
+        faces.append(face)
+
+    for face in itertools.combinations(seed, 3):
+        add_face(face)
     stale = np.arange(4)
 
-    for step in range(n - 4):
-        a, b, c = face_vertices[stale].T
-        gains = w_t[a]
-        gains += w_t[b]
-        gains += w_t[c]
-        gains[:, placed] = -np.inf
-        best = gains.argmax(axis=1)
-        best_vertex[stale] = best
-        best_gain[stale] = gains[np.arange(stale.size), best]
+    # a hub vertex can be the best of hundreds of faces at once, so stale
+    # rows are gathered a block at a time
+    rescan_rows = max(1, _BLOCK_ELEMENTS // n)
+    for _ in range(n - 4):
+        for start in range(0, stale.size, rescan_rows):
+            part = stale[start : start + rescan_rows]
+            gains = gain_rows[part]
+            best = gains.argmax(axis=1)
+            best_vertex[part] = best
+            best_gain[part] = gains[np.arange(part.size), best]
 
-        top = np.flatnonzero(best_gain == best_gain.max())
-        fi = int(top[np.argmin(best_vertex[top])])
+        fi = int(best_gain.argmax())
+        tied = best_gain == best_gain[fi]
+        if np.count_nonzero(tied) > 1:
+            top = tied.nonzero()[0]
+            fi = int(top[np.argmin(best_vertex[top])])
         v = int(best_vertex[fi])
-        face = tuple(face_vertices[fi].tolist())
+        face = faces[fi]
 
         cliques.append(tuple(sorted((*face, v))))
         separators.append(face)
         best_vertex[fi] = -1
         best_gain[fi] = -np.inf
-        placed[v] = True
 
-        k = 4 + 3 * step
-        face_vertices[k : k + 3] = [sorted((x, y, v)) for x, y in itertools.combinations(face, 2)]
+        w_t[:, v] = -np.inf
+        k = len(faces)
+        gain_rows[:k, v] = -np.inf
+        for x, y in itertools.combinations(face, 2):
+            add_face(tuple(sorted((x, y, v))))
         # the new faces count as stale alongside those that lost v
         best_vertex[k : k + 3] = v
-        stale = np.flatnonzero(best_vertex[: k + 3] == v)
+        stale = (best_vertex[: k + 3] == v).nonzero()[0]
 
     # every edge lies in a clique, and each clique is sorted, so i < j
     edges = frozenset(pair for clique in cliques for pair in itertools.combinations(clique, 2))
@@ -222,15 +251,31 @@ def _blocks(cov: np.ndarray, vertex_sets, width: int) -> tuple:
     the vertex index array, the blocks and their log-determinants; raises
     SingularSubmatrixError naming the first vertex set whose block is not
     positive definite.
+
+    The condition number takes an SVD, so it is computed only for blocks
+    that a cheaper bound cannot clear. For any square block B,
+    cond(B) <= ||B||_F^width / |det B|, since sigma_max <= ||B||_F and
+    sigma_min >= |det B| / sigma_max^(width - 1); its log comes from the
+    slogdet every block needs anyway. A block whose bound is below half
+    the limit, a margin far wider than the rounding of the bound and of
+    the SVD (about width * cond * eps), cannot be ridged; every other
+    block, a non-finite bound included, gets np.linalg.cond, so each ridge
+    decision is the one a condition number for every block would make.
     """
     idx = np.array(vertex_sets, dtype=np.intp).reshape(-1, width)
     blocks = cov[idx[:, :, None], idx[:, None, :]]
     blocks = 0.5 * (blocks + blocks.transpose(0, 2, 1))
-    cond = np.linalg.cond(blocks)
     trace = np.trace(blocks, axis1=1, axis2=2)
-    ridged = np.flatnonzero((~np.isfinite(cond) | (cond > _RIDGE_CONDITION_LIMIT)) & (trace > 0.0))
-    blocks[ridged] += (_RIDGE_EPS * trace[ridged] / width)[:, None, None] * np.eye(width)
     sign, logdet = np.linalg.slogdet(blocks)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        log_bound = 0.5 * width * np.log(np.einsum("mij,mij->m", blocks, blocks)) - logdet
+    unclear = np.flatnonzero(~(log_bound < _LOG_BOUND_LIMIT))
+    if unclear.size:
+        cond = np.linalg.cond(blocks[unclear])
+        ridge = (~np.isfinite(cond) | (cond > _RIDGE_CONDITION_LIMIT)) & (trace[unclear] > 0.0)
+        ridged = unclear[ridge]
+        blocks[ridged] += (_RIDGE_EPS * trace[ridged] / width)[:, None, None] * np.eye(width)
+        sign[ridged], logdet[ridged] = np.linalg.slogdet(blocks[ridged])
     bad = (sign <= 0.0) | ~np.isfinite(logdet)
     if bad.any():
         first = int(np.argmax(bad))

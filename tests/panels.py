@@ -75,6 +75,51 @@ def two_regime_panel(seed=3, per=150, n=8):
     return panel, np.repeat(np.array([0, 1]), per)
 
 
+# per regime of block_regime_panel: daily volatility, within-block
+# correlation, drift and number of blocks, in the ranges a market shows
+_BLOCK_REGIMES = ((0.008, 0.25, 0.0004, 2), (0.014, 0.45, 0.0, 4), (0.024, 0.70, -0.0008, 3))
+
+
+def block_regime_panel(seed=6, t_len=1200, n=40, mean_segment=100):
+    """Regimes that differ in volatility, drift and sector structure.
+
+    Each regime draws its own assignment of assets to blocks, with one
+    factor per block. Segments last mean_segment / 2 days plus an
+    exponential of that mean, and never repeat the previous regime, so the
+    path switches at irregular times as market eras do.
+    """
+    rng = np.random.default_rng(seed)
+    truth = np.empty(t_len, dtype=int)
+    t, last = 0, -1
+    while t < t_len:
+        last = int(rng.choice([k for k in range(len(_BLOCK_REGIMES)) if k != last]))
+        length = max(1, round(mean_segment / 2 + rng.exponential(mean_segment / 2)))
+        truth[t : t + length] = last
+        t += length
+    scale = rng.uniform(0.8, 1.25, size=n)
+    values = np.empty((t_len, n))
+    for k, (vol, rho, drift, blocks) in enumerate(_BLOCK_REGIMES):
+        days = np.flatnonzero(truth == k)
+        member = rng.permutation(np.arange(n) % blocks)
+        factors = rng.normal(size=(days.size, blocks))
+        shock = np.sqrt(rho) * factors[:, member] + np.sqrt(1.0 - rho) * rng.normal(size=(days.size, n))
+        values[days] = (drift + vol * shock) * scale
+    panel = ReturnsPanel(
+        dates=_dates(t_len), assets=tuple(f"A{i}" for i in range(n)), values=values
+    )
+    return panel, truth
+
+
+def block_similarity(rng, n, blocks=4, rho=0.5, t_len=500):
+    """|correlation| of sampled returns with one factor per block of assets."""
+    member = rng.integers(0, blocks, size=n)
+    factors = rng.normal(size=(t_len, blocks))
+    x = np.sqrt(rho) * factors[:, member] + np.sqrt(1.0 - rho) * rng.normal(size=(t_len, n))
+    w = np.abs(np.corrcoef(x, rowvar=False))
+    np.fill_diagonal(w, 0.0)
+    return w
+
+
 def rising_volatility_panel(seed=0, t_len=600, n=N_ASSETS):
     """Independent Gaussian returns whose scale rises fourfold over the panel.
 

@@ -132,7 +132,7 @@ def _assert_matches_reference(w):
     assert g.separators == separators
 
 
-@pytest.mark.parametrize("n", [*range(4, 81), 250])
+@pytest.mark.parametrize("n", [*range(4, 81), 100, 250])
 def test_growth_matches_gains_matrix_reference(rng, n):
     ties = _symmetric_integers(rng, n)
     # asymmetry below the 1e-9 the validator accepts decides between tied
@@ -143,6 +143,11 @@ def test_growth_matches_gains_matrix_reference(rng, n):
     cases = [ties, skew, tenths, np.full((n, n), 0.7), np.zeros((n, n))]
     if n <= 80:
         cases.append(panels.random_similarity(rng, n))
+    else:
+        # sector-like correlations, where many faces share one best vertex,
+        # and the same rounded to two digits, where many gains tie
+        block = panels.block_similarity(rng, n)
+        cases += [block, np.round(block, 2)]
     for w in cases:
         _assert_matches_reference(w)
 
@@ -357,6 +362,84 @@ def test_logo_bitwise_matches_loop_oracle_with_ridge(rng):
     assert _assert_matches_loop_oracle(cov, build_tmfg(w)) > 0
 
 
+def _assert_same_outcome_as_loop_oracle(cov, g):
+    """_assert_matches_loop_oracle, or the oracle's SingularSubmatrixError.
+
+    logo_precision must name the oracle's block; logdet_precision, which
+    conditions separators before cliques, must raise too. Returns the
+    oracle's ridged block count, or None on an error.
+    """
+    try:
+        logo_loop_oracle(cov, g)
+    except SingularSubmatrixError as expected:
+        with pytest.raises(SingularSubmatrixError) as err:
+            logo_precision(cov, g)
+        assert err.value.vertices == expected.vertices
+        with pytest.raises(SingularSubmatrixError):
+            logdet_precision(cov, g)
+        return None
+    return _assert_matches_loop_oracle(cov, g)
+
+
+@pytest.mark.parametrize(
+    "eigenvalues, ridged",
+    [
+        # condition number just below and just above the limit
+        ([1.0, 1.0, 1.0, 1e-12 * (1 + 1e-6)], False),
+        ([1.0, 1.0, 1.0, 1e-12 * (1 - 1e-6)], True),
+        # condition number 1e11, under a norm-determinant bound of 9e11
+        # that is above half the limit, so the SVD decides
+        ([1.0, 1.0, 1.0, 1e-11], False),
+        # indefinite with a positive determinant
+        ([-1.0, -2.0, 1.0, 1.0], False),
+        ([0.0, 0.0, 0.0, 0.0], False),
+    ],
+)
+def test_logo_bitwise_matches_loop_oracle_at_the_ridge_limit(rng, eigenvalues, ridged):
+    # a diagonal block's singular values are exact; a rotated one's carry
+    # rounding of about cond * eps, so it may land on either side
+    for n, rotate in itertools.product((4, 5, 7), (False, True)):
+        g = build_tmfg(panels.random_similarity(rng, n))
+        width = 4 if n == 4 else 3
+        block = np.diag(eigenvalues[-width:])
+        if rotate:
+            q = np.linalg.qr(rng.normal(size=(width, width)))[0]
+            block = q @ block @ q.T
+        cov = panels.random_spd(rng, n)
+        # the first clique of n = 4, else the first separator and with it
+        # the two cliques that hold it
+        verts = list(g.cliques[0] if n == 4 else g.separators[0])
+        cov[np.ix_(verts, verts)] = block
+        count = _assert_same_outcome_as_loop_oracle(cov, g)
+        if not rotate and n == 4:
+            assert count is None if eigenvalues[0] == 0.0 else (count > 0) == ridged
+
+
+def test_well_conditioned_blocks_take_no_svd(rng, monkeypatch):
+    calls = []
+    cond = np.linalg.cond
+
+    def counted(blocks):
+        calls.append(len(blocks))
+        return cond(blocks)
+
+    monkeypatch.setattr(np.linalg, "cond", counted)
+    for n in (4, 30, 120):
+        g = build_tmfg(panels.random_similarity(rng, n))
+        logo_precision(panels.random_spd(rng, n), g)
+    assert calls == []
+    # a near-singular pair of assets: only the blocks holding both get
+    # one, in logo_precision and again in logdet_precision
+    x = rng.normal(size=(400, 6))
+    x[:, 1] = x[:, 0] + 1e-14 * rng.normal(size=400)
+    w = np.abs(np.corrcoef(x, rowvar=False))
+    np.fill_diagonal(w, 0.0)
+    g = build_tmfg(w)
+    logo_precision(np.cov(x, rowvar=False, ddof=1), g)
+    holding = sum({0, 1} <= set(verts) for verts in g.cliques + g.separators)
+    assert sum(calls) == 2 * holding > 0
+
+
 def test_singular_block_error_names_the_oracle_block(rng):
     # every 4x4 block of -I has det +1, so the first failure is a separator
     bad = -np.eye(6)
@@ -545,6 +628,19 @@ def test_validation_reports_the_largest_asymmetry(rng):
     w = panels.random_similarity(rng, 30)
     w[7, 19] += 5e-10  # within the bound
     assert np.array_equal(_validate_similarity(w), np.where(np.eye(30, dtype=bool), 0.0, w))
+
+
+def test_growth_memory_is_bounded(rng):
+    # the n x n transposed similarity and the (3n - 8) x n gain rows
+    n = 250
+    w = panels.block_similarity(rng, n)
+    tracemalloc.start()
+    try:
+        build_tmfg(w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * n * n * 8, peak
 
 
 def test_validation_makes_one_float_copy(rng):

@@ -324,7 +324,8 @@ def _csv_files(draw):
         elif trap == "duplicate date":
             rows[t][0] = rows[-1][0]
         elif trap == "cell":
-            rows[t][j] = draw(st.sampled_from(_TRAP_CELLS))
+            # a row an earlier "row width" trap cut may be narrower than j
+            rows[t][min(j, len(rows[t]) - 1)] = draw(st.sampled_from(_TRAP_CELLS))
         elif trap == "row width":
             rows[t] = draw(st.sampled_from([rows[t][:-1], rows[t] + ["1"], rows[t][:1]]))
         elif trap == "lone cr":

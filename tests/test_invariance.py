@@ -25,8 +25,9 @@ from marketstates.segment import ClusteringConfig, fit
 PANELS = {
     **{f"three_regime-{s}": functools.partial(panels.three_regime_panel, s) for s in (0, 1, 2)},
     **{f"two_regime-{s}": functools.partial(panels.two_regime_panel, s) for s in (3, 4, 5)},
+    **{f"block_regime-{s}": functools.partial(panels.block_regime_panel, s) for s in (6, 7, 8)},
 }
-CASES = list(itertools.product(PANELS, (2, 3, 4), (0.0, 100.0)))
+CASES = list(itertools.product(PANELS, (2, 3, 4), (0.0, 10.0, 100.0)))
 IDS = [f"{name}-K{k}-gamma{gamma:g}" for name, k, gamma in CASES]
 
 
