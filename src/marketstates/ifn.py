@@ -297,14 +297,16 @@ def logdet_precision(covariance, graph: TmfgGraph) -> float:
 
     On the clique/separator decomposition the determinant factorizes, so
     log |J| = sum_S log |cov_S| - sum_C log |cov_C|. The block
-    log-determinants come from one batched slogdet per block size; the
-    sum is a running float sum, separators first and then cliques, each in
-    graph order. np.sum groups terms pairwise and, from Python 3.12,
-    builtin sum() compensates, so either would change the last bits.
+    log-determinants come from one batched slogdet per block size, cliques
+    first as in logo_precision, so both raise SingularSubmatrixError on
+    the same vertex set. The sum is a running float sum, separators first
+    and then cliques, each in graph order. np.sum groups terms pairwise
+    and, from Python 3.12, builtin sum() compensates, so either would
+    change the last bits.
     """
     cov = _check_covariance(covariance, graph)
-    separator_logdets = _blocks(cov, graph.separators, 3)[2]
     clique_logdets = _blocks(cov, graph.cliques, 4)[2]
+    separator_logdets = _blocks(cov, graph.separators, 3)[2]
     total = 0.0
     for value in separator_logdets.tolist():
         total += value

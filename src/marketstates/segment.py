@@ -6,7 +6,8 @@ built on that state's own TMFG. A time point t scores
 switching penalty gamma is charged whenever consecutive assignments
 differ. Because the penalty only couples neighboring time points, the
 optimal assignment given fixed states is found exactly by dynamic
-programming; fitting alternates that assignment step with per-state
+programming, run in numpy over blocks of about sqrt(T) days (see
+solve_path); fitting alternates that assignment step with per-state
 re-estimation until the labels stop changing; a state keeps its old
 model if the new one scores the state's days worse.
 
@@ -14,6 +15,7 @@ Scoring multiplies by each J as a dense array built from the precision's
 upper-triangle entries, so fitting imports numpy only.
 """
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -170,9 +172,24 @@ def solve_path(scores: ScoreMatrix, gamma: float) -> StatePath:
     each state's best predecessor is either itself (no penalty) or the
     globally best previous state (penalized; the lowest index among equal
     bests, as np.argmax picks). Ties between staying and switching prefer
-    staying. The recursion runs over plain Python floats, one addition per
-    (day, state) in day order, and keeps a stay byte per (day, state) and
-    the best state per day to backtrack.
+    staying, and the path ends in the lowest-index best state.
+
+    The recursion runs in numpy over blocks of w = isqrt(T) days, all
+    blocks at once: each block's K x K max-plus transfer (its best score
+    entering in state j and ending in k), then one small step per block
+    for its entry values, then a replay of every block from those that
+    records per day the first best state and the states that cannot stay
+    (value < best - gamma). Day 0 follows all-zero values and, where w
+    does not divide T, zero-score padding days, so every block is full;
+    neither moves a value or a decision. The backtrack takes one step
+    per switch: a running maximum over each state's cannot-stay days
+    gives the day its run began.
+
+    The maxima are the per-day recursion's, but each transfer sums its
+    days from 0 before it is added to the entry values, so a label can
+    differ from a day-by-day float loop only where two choices lie
+    within rounding; integer-valued scores are exact either way. Memory
+    is O(T * K + K^2 * sqrt(T)), with no T x K x K array.
     """
     if not np.isfinite(gamma) or gamma < 0.0:
         raise ValueError(f"gamma must be finite and >= 0, got {gamma}")
@@ -180,35 +197,65 @@ def solve_path(scores: ScoreMatrix, gamma: float) -> StatePath:
         scores = ScoreMatrix(np.asarray(scores, dtype=float))
     v = scores.values
     t_len, k_len = v.shape
-
-    rows = v.tolist()
     penalty = float(gamma)  # float64 arithmetic whatever type gamma has
-    stays = bytearray(t_len * k_len)
-    best = [0] * t_len
-    value = rows[0]
-    for t in range(1, t_len):
-        top = max(value)
-        best[t] = value.index(top)
-        switch_value = top - penalty
-        row = rows[t]
-        base = t * k_len
-        new = []
-        for k in range(k_len):
-            x = value[k]
-            if x >= switch_value:
-                stays[base + k] = 1
-                new.append(row[k] + x)
-            else:
-                new.append(row[k] + switch_value)
-        value = new
 
-    k = value.index(max(value))
-    path = [k] * t_len
-    for t in range(t_len - 1, 0, -1):
-        if not stays[t * k_len + k]:
-            k = best[t]
-        path[t - 1] = k
-    labels = np.array(path, dtype=int)
+    # padded day p = b * w + i is offset i of block b; s[i, k, b] is its
+    # score in state k, state-major so that a day's step spans every block
+    w = math.isqrt(t_len)
+    n_blocks = -(-t_len // w)
+    pad = n_blocks * w - t_len
+    s = np.empty((w, k_len, n_blocks))
+    by_block = s.transpose(2, 0, 1)
+    by_block[0, :pad] = 0.0
+    by_block[0, pad:] = v[: w - pad]
+    by_block[1:] = v[w - pad :].reshape(n_blocks - 1, w, k_len)
+
+    # transfer[j, k, b], from the max-plus identity; the last block's is
+    # never needed
+    inner = n_blocks - 1
+    identity = np.where(np.eye(k_len, dtype=bool), 0.0, -np.inf)
+    transfer = np.repeat(identity[:, :, None], inner, axis=2)
+    top = np.empty((k_len, inner))
+    for i in range(w):
+        np.maximum.reduce(transfer, axis=1, out=top)
+        top -= penalty
+        np.maximum(transfer, top[:, None, :], out=transfer)
+        transfer += s[i, :, :inner]
+
+    # value[:, b]: block b's entry values, then its running values
+    value = np.zeros((k_len, n_blocks))
+    for b in range(inner):
+        value[:, b + 1] = (value[:, b, None] + transfer[:, :, b]).max(axis=0)
+
+    # per padded day, day-major: the state that cannot stay, the first best
+    stuck = np.empty((n_blocks, w, k_len), dtype=bool)
+    best = np.empty((n_blocks, w), dtype=np.intp)
+    for i in range(w):
+        best[:, i] = value.argmax(axis=0)
+        switch = np.maximum.reduce(value, axis=0)
+        switch -= penalty
+        np.less(value, switch, out=stuck[:, i].T)
+        np.maximum(value, switch, out=value)
+        value += s[i]
+    k = int(value[:, -1].argmax())
+    del s
+
+    # began[p, k]: the last day <= p on which state k had to be entered by
+    # a switch, or -1; day 0 and the padding start from equal values, so
+    # none of them is one
+    began = np.where(stuck.reshape(-1, k_len), np.arange(n_blocks * w)[:, None], -1)
+    np.maximum.accumulate(began, axis=0, out=began)
+    states, lengths = [], []
+    p = n_blocks * w - 1
+    while True:
+        day = began.item(p, k)
+        states.append(k)
+        lengths.append(p + 1 - max(day, pad))
+        if day < 0:
+            break
+        k = best.item(day)
+        p = day - 1
+    labels = np.repeat(np.array(states[::-1], dtype=int), lengths[::-1])
 
     switches = int(np.count_nonzero(np.diff(labels)))
     objective = float(v[np.arange(t_len), labels].sum() - gamma * switches)

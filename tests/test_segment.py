@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -259,6 +260,18 @@ def test_matches_brute_force(rng):
         assert path.objective == pytest.approx(recomputed, abs=1e-12)
 
 
+GAMMAS = (0.0, 0.4, 4.0, 50.0, 1e6)
+
+
+def _assert_same_path_as_reference(values, gamma):
+    path = solve_path(values, gamma)
+    labels, objective = reference_path(values, gamma)
+    assert np.array_equal(path.labels, labels)
+    assert path.labels.dtype == labels.dtype
+    assert path.switches == np.count_nonzero(np.diff(labels))
+    assert path.objective == objective
+
+
 def test_labels_match_reference_on_ties(rng):
     # integer scores in {0, 1, 2} tie often, so the labels pin the
     # tie-break rule and not only the optimal objective
@@ -266,11 +279,52 @@ def test_labels_match_reference_on_ties(rng):
         for gamma in (0.0, 1.0, 2.0, 1e6):
             for t_len in (1, 2, 3, 300, *rng.integers(4, 300, size=4)):
                 values = rng.integers(0, 3, size=(int(t_len), k_len)).astype(float)
-                path = solve_path(values, gamma)
-                labels, objective = reference_path(values, gamma)
-                assert np.array_equal(path.labels, labels)
-                assert path.labels.dtype == labels.dtype
-                assert path.objective == objective
+                _assert_same_path_as_reference(values, gamma)
+
+
+def _block_edge_lengths():
+    """T on both sides of each block edge for w in 2..40: T - 1 or T is
+    w^2 - 1, w^2, w^2 + 1 or w(w + 1)."""
+    lengths = set()
+    for w in range(2, 41):
+        for days in (w * w - 1, w * w, w * w + 1, w * (w + 1)):
+            lengths |= {days, days + 1}
+    return sorted(lengths)
+
+
+def test_blocked_path_matches_reference_at_block_edges(rng):
+    # real-valued scores, which the blocks sum in another grouping than
+    # the per-day loop; each length takes the next (K, gamma) pair
+    cases = itertools.cycle(itertools.product(range(1, 7), GAMMAS))
+    for t_len, (k_len, gamma) in zip(_block_edge_lengths(), cases):
+        _assert_same_path_as_reference(3.0 * rng.normal(size=(t_len, k_len)), gamma)
+
+
+@pytest.mark.parametrize("t_len", [1, 2, 3, 2000])
+def test_blocked_path_matches_reference_for_every_k_and_gamma(rng, t_len):
+    for k_len, gamma in itertools.product(range(1, 7), GAMMAS):
+        _assert_same_path_as_reference(3.0 * rng.normal(size=(t_len, k_len)), gamma)
+
+
+# gamma = 0 switches almost every day: the backtrack's worst case
+@pytest.mark.parametrize("gamma, k_len", zip(GAMMAS, [4, 6, 3, 4, 2]))
+def test_blocked_path_matches_reference_over_a_long_history(rng, gamma, k_len):
+    _assert_same_path_as_reference(3.0 * rng.normal(size=(25000, k_len)), gamma)
+
+
+@pytest.mark.parametrize("k_len", [4, 8])
+def test_solve_path_memory_is_bounded(rng, k_len):
+    # a padded copy of the scores, the run starts and the flags: no
+    # T x K x K array and no Python object per day, at any gamma
+    scores = ScoreMatrix(3.0 * rng.normal(size=(25000, k_len)))
+    for gamma in (0.0, 50.0):
+        tracemalloc.start()
+        try:
+            solve_path(scores, gamma)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * scores.values.nbytes, (gamma, peak)
 
 
 def test_known_switch_layout():
