@@ -71,7 +71,7 @@ def suggest_ratio_states(path: StatePath, returns: ReturnsPanel) -> tuple:
         )
     equal_weight = returns.values.mean(axis=1)
     # not np.unique: its first call imports numpy.ma (about 10 ms)
-    states = sorted({int(s) for s in labels.tolist()})
+    states = sorted(set(labels.tolist()))
     mean_return = {s: float(equal_weight[labels == s].mean()) for s in states}
     crisis = min(states, key=lambda s: (mean_return[s], s))
     bull = max(states, key=lambda s: (mean_return[s], -s))

@@ -89,11 +89,18 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _write_csv(path: Path, header: str, dates, cells) -> None:
+def _write_csv(path: Path, header: str, dates, values: np.ndarray) -> None:
+    """Write the header, then one date,value line per date.
+
+    An integer value is written as its digits, a float as repr(float(v)):
+    the repr of the whole list holds each item's repr, split at ", ".
+    """
+    cells = values.tolist()
+    if values.dtype.kind == "f":
+        cells = repr(cells)[1:-1].split(", ")
+    lines = [f"{date},{cell}\n" for date, cell in zip(dates, cells)]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"{header}\n")
-        for date, cell in zip(dates, cells):
-            fh.write(f"{date},{cell}\n")
+        fh.write(f"{header}\n" + "".join(lines))
 
 
 # json.dump's text for the floats that have no JSON literal
@@ -193,10 +200,9 @@ def run_fit(config: RunConfig, returns: ReturnsPanel, *, memo=None) -> StatePath
     if ratio_pair is not None:
         series = likelihood_ratio(returns, models, *ratio_pair, scores=path.scores)
 
-    _write_csv(out_dir / "states.csv", "date,label", returns.dates, map(int, path.labels))
+    _write_csv(out_dir / "states.csv", "date,label", returns.dates, path.labels)
     if series is not None:
-        cells = (repr(float(v)) for v in series.values)
-        _write_csv(out_dir / "ratio.csv", "date,value", series.dates, cells)
+        _write_csv(out_dir / "ratio.csv", "date,value", series.dates, series.values)
     _write_models(out_dir / "models.json", models, report.occupancy, returns.assets)
 
     payload = {"status": "ok", "config": asdict(config), **asdict(report)}

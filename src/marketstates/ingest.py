@@ -13,6 +13,7 @@ import csv
 import datetime
 import io
 import math
+import operator
 import re
 from dataclasses import dataclass
 
@@ -21,7 +22,8 @@ import numpy as np
 from .errors import DataError
 
 _ISO_DATE = re.compile(r"^[0-9]{4}-[0-9]{2}-[0-9]{2}$")
-_ISO_DATE_LINES = re.compile(r"(?:[0-9]{4}-[0-9]{2}-[0-9]{2}\n)*")
+# the date prefixes of all rows, joined; year 0 is no date to fromisoformat
+_ISO_DATE_PREFIXES = re.compile(r"(?:(?!0000)[0-9]{4}-[0-9]{2}-[0-9]{2},)*")
 # characters whose files the block parse leaves to the csv module: a quote,
 # a lone carriage return (a line end to csv only) and NUL (a csv.Error
 # before Python 3.11)
@@ -53,11 +55,12 @@ class PricePanel:
                 f"price matrix shape {self.values.shape} does not match "
                 f"{len(self.dates)} dates x {len(self.assets)} assets"
             )
-        for a, b in zip(self.dates, self.dates[1:]):
-            if a == b:
-                raise DataError(f"duplicate date {a}")
-            if a > b:
-                raise DataError(f"dates must be strictly increasing, got {a} before {b}")
+        if not all(map(operator.lt, self.dates, self.dates[1:])):
+            for a, b in zip(self.dates, self.dates[1:]):
+                if a == b:
+                    raise DataError(f"duplicate date {a}")
+                if a > b:
+                    raise DataError(f"dates must be strictly increasing, got {a} before {b}")
         if not np.all(np.isfinite(self.values)) or np.any(self.values <= 0.0):
             bad = np.argwhere(~(np.isfinite(self.values) & (self.values > 0.0)))[0]
             raise DataError(
@@ -166,6 +169,14 @@ def _read_rows(reader, path) -> tuple:
 def _read_block(text: str, path) -> PricePanel | None:
     """Parse a valid file in one vectorized pass; None if it does not pass.
 
+    Every row must open with an 11-character YYYY-MM-DD date and its
+    comma: one regex checks all of those prefixes joined, one datetime64
+    conversion checks the calendar, and one np.loadtxt reads the rest of
+    every row, so a row of another width fails in loadtxt or in the shape
+    check. Year 0, which numpy reads and date.fromisoformat does not, fails
+    the regex. Rows are sorted by a stable argsort, only when their dates
+    are not already increasing.
+
     Every file this returns None for goes to _read_rows, which either reads
     it (quoted cells, a lone carriage return, padded dates, prices such as
     1_0 that float() reads and np.loadtxt does not) or names its first bad
@@ -178,7 +189,9 @@ def _read_block(text: str, path) -> PricePanel | None:
     lines = text.split("\n")
     # the csv module refuses a cell longer than its field size limit
     limit = csv.field_size_limit()
-    if any(len(cell) > limit for line in lines if len(line) > limit for cell in line.split(",")):
+    if max(map(len, lines)) > limit and any(
+        len(cell) > limit for line in lines if len(line) > limit for cell in line.split(",")
+    ):
         return None
     # the csv module skips blank lines; whitespace-only ones fail the dates
     header, lines = lines[0], list(filter(None, lines[1:]))
@@ -186,21 +199,23 @@ def _read_block(text: str, path) -> PricePanel | None:
         assets = _parse_header(header.split(","), path)
         if len(lines) < _MIN_ROWS:
             return None
-        dates = [line.partition(",")[0] for line in lines]
-        if not _ISO_DATE_LINES.fullmatch("\n".join(dates) + "\n"):
+        # a row shorter than 11 characters makes the joined prefixes short
+        prefixes = "".join([line[:11] for line in lines])
+        if len(prefixes) != 11 * len(lines) or not _ISO_DATE_PREFIXES.fullmatch(prefixes):
             return None
-        for date in dates:
-            datetime.date.fromisoformat(date)
-        # loadtxt raises on a row too short for usecols but ignores cells
-        # past them: n commas on every line, header included, is the total
-        # that leaves no row wider
-        if text.count(",") != len(assets) * (len(lines) + 1):
+        dates = prefixes.split(",")[:-1]
+        days = np.array(dates, dtype="datetime64[D]")  # ValueError off the calendar
+        rest = [line[11:] for line in lines]
+        # loadtxt skips an empty row, and warns if it finds no row at all
+        if not any(rest):
             return None
-        values = np.loadtxt(
-            lines, delimiter=",", comments=None, usecols=range(1, len(assets) + 1), ndmin=2
-        )
-        order = sorted(range(len(dates)), key=dates.__getitem__)
-        return PricePanel(dates=[dates[i] for i in order], assets=assets, values=values[order])
+        values = np.loadtxt(rest, delimiter=",", comments=None, ndmin=2)
+        if values.shape != (len(lines), len(assets)):
+            return None
+        if not np.all(days[1:] > days[:-1]):
+            order = np.argsort(days, kind="stable")
+            dates, values = [dates[i] for i in order.tolist()], values[order]
+        return PricePanel(dates=dates, assets=assets, values=values)
     except ValueError:  # DataError included: duplicate dates or a bad price
         return None
 

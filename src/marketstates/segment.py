@@ -6,8 +6,8 @@ built on that state's own TMFG. A time point t scores
 switching penalty gamma is charged whenever consecutive assignments
 differ. Because the penalty only couples neighboring time points, the
 optimal assignment given fixed states is found exactly by dynamic
-programming, run in numpy over blocks of about sqrt(T) days (see
-solve_path); fitting alternates that assignment step with per-state
+programming, run in numpy over blocks of about T^(1/3) days whose
+chain is itself grouped (see solve_path); fitting alternates that assignment step with per-state
 re-estimation until the labels stop changing; a state keeps its old
 model if the new one scores the state's days worse.
 
@@ -165,6 +165,16 @@ def score_states(returns: ReturnsPanel, models, mode: str = "likelihood") -> Sco
     return ScoreMatrix(values=values)
 
 
+def _icbrt(n: int) -> int:
+    """The integer cube root of n >= 0: the largest w with w**3 <= n."""
+    w = round(n ** (1 / 3))
+    while w**3 > n:
+        w -= 1
+    while (w + 1) ** 3 <= n:
+        w += 1
+    return w
+
+
 def solve_path(scores: ScoreMatrix, gamma: float) -> StatePath:
     """Maximize sum_t score[t, k_t] - gamma * #switches over all label paths.
 
@@ -174,22 +184,28 @@ def solve_path(scores: ScoreMatrix, gamma: float) -> StatePath:
     bests, as np.argmax picks). Ties between staying and switching prefer
     staying, and the path ends in the lowest-index best state.
 
-    The recursion runs in numpy over blocks of w = isqrt(T) days, all
-    blocks at once: each block's K x K max-plus transfer (its best score
-    entering in state j and ending in k), then one small step per block
-    for its entry values, then a replay of every block from those that
-    records per day the first best state and the states that cannot stay
-    (value < best - gamma). Day 0 follows all-zero values and, where w
-    does not divide T, zero-score padding days, so every block is full;
-    neither moves a value or a decision. The backtrack takes one step
-    per switch: a running maximum over each state's cannot-stay days
-    gives the day its run began.
+    The recursion runs in numpy over blocks of w days, w the integer cube
+    root of T, all blocks at once: each block's K x K max-plus transfer
+    (its best score entering in state j and ending in k) in w steps. The
+    chain of the T / w transfers is itself cut into groups of g = isqrt of
+    their count: g - 1 batched max-plus products give every group's
+    running products, one step per group chains the groups' entry
+    values, and one batched product gives every block's entry values from
+    those. A replay of every block then records per day, in w steps, the
+    first best state and the states that cannot stay
+    (value < best - gamma). Each loop runs about T^(1/3) steps. Day 0
+    follows all-zero values and, where w does not divide T, zero-score
+    padding days, so every block is full; the last group is filled up
+    with identity transfers. None of these moves a value or a decision.
+    The backtrack takes one step per switch: a running maximum over each
+    state's cannot-stay days gives the day its run began.
 
     The maxima are the per-day recursion's, but each transfer sums its
-    days from 0 before it is added to the entry values, so a label can
-    differ from a day-by-day float loop only where two choices lie
-    within rounding; integer-valued scores are exact either way. Memory
-    is O(T * K + K^2 * sqrt(T)), with no T x K x K array.
+    days from 0, and the transfers of a group are combined before they
+    are added to the entry values, so a label can differ from a
+    day-by-day float loop only where two choices lie within rounding;
+    integer-valued scores are exact either way. Memory is
+    O(T * K + K^2 * T^(2/3) + K^3 * T^(1/3)), with no T x K x K array.
     """
     if not np.isfinite(gamma) or gamma < 0.0:
         raise ValueError(f"gamma must be finite and >= 0, got {gamma}")
@@ -201,7 +217,7 @@ def solve_path(scores: ScoreMatrix, gamma: float) -> StatePath:
 
     # padded day p = b * w + i is offset i of block b; s[i, k, b] is its
     # score in state k, state-major so that a day's step spans every block
-    w = math.isqrt(t_len)
+    w = _icbrt(t_len)
     n_blocks = -(-t_len // w)
     pad = n_blocks * w - t_len
     s = np.empty((w, k_len, n_blocks))
@@ -211,21 +227,35 @@ def solve_path(scores: ScoreMatrix, gamma: float) -> StatePath:
     by_block[1:] = v[w - pad :].reshape(n_blocks - 1, w, k_len)
 
     # transfer[j, k, b], from the max-plus identity; the last block's is
-    # never needed
+    # never needed. Transfer b is offset m of group G, b = G * g + m; the
+    # last group is filled up with identities, which move no value.
     inner = n_blocks - 1
+    g = max(1, math.isqrt(inner))
+    n_groups = -(-inner // g)
     identity = np.where(np.eye(k_len, dtype=bool), 0.0, -np.inf)
-    transfer = np.repeat(identity[:, :, None], inner, axis=2)
+    transfer = np.repeat(identity[:, :, None], n_groups * g, axis=2)
+    block = transfer[:, :, :inner]
     top = np.empty((k_len, inner))
     for i in range(w):
-        np.maximum.reduce(transfer, axis=1, out=top)
+        np.maximum.reduce(block, axis=1, out=top)
         top -= penalty
-        np.maximum(transfer, top[:, None, :], out=transfer)
-        transfer += s[i, :, :inner]
+        np.maximum(block, top[:, None, :], out=block)
+        block += s[i, :, :inner]
+
+    # in place, chain[j, k, G, m]: the max-plus product of group G's
+    # transfers 0..m; entry[:, G]: the values entering group G's first block
+    chain = transfer.reshape(k_len, k_len, n_groups, g)
+    for m in range(1, g):
+        chain[:, :, :, m] = (chain[:, :, None, :, m - 1] + chain[None, :, :, :, m]).max(axis=1)
+    entry = np.zeros((k_len, n_groups))
+    for group in range(1, n_groups):
+        entry[:, group] = (entry[:, group - 1, None] + chain[:, :, group - 1, -1]).max(axis=0)
 
     # value[:, b]: block b's entry values, then its running values
     value = np.zeros((k_len, n_blocks))
-    for b in range(inner):
-        value[:, b + 1] = (value[:, b, None] + transfer[:, :, b]).max(axis=0)
+    within = (entry[:, None, :, None] + chain).max(axis=0)
+    value[:, 1:] = within.reshape(k_len, n_groups * g)[:, :inner]
+    del transfer, chain, within
 
     # per padded day, day-major: the state that cannot stay, the first best
     stuck = np.empty((n_blocks, w, k_len), dtype=bool)

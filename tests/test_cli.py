@@ -745,6 +745,44 @@ def test_models_writer_matches_json_dump(drawn):
     assert written == (expected.getvalue() + "\n").encode("utf-8")
 
 
+def _csv_per_line(header, dates, cells) -> bytes:
+    """The reference writer: one write per line, each cell formatted alone."""
+    out = io.StringIO()
+    out.write(f"{header}\n")
+    for date, cell in zip(dates, cells):
+        out.write(f"{date},{cell}\n")
+    return out.getvalue().encode("utf-8")
+
+
+_FLOAT_EDGES = [-0.0, 0.0, 5e-324, -5e-324, 1e-300, 1e16, -1e16, 1e22, 1e23, 3.0, -7.0,
+                2.0**53, 0.1, 1 / 3, float("nan"), float("inf"), -float("inf")]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.lists(
+        st.tuples(
+            st.integers(0, 12),
+            st.one_of(st.sampled_from(_FLOAT_EDGES), st.floats(),
+                      st.integers(-(2**60), 2**60).map(float)),
+        ),
+        max_size=40,
+    ),
+)
+def test_csv_writer_matches_a_per_line_writer(data):
+    dates = [str(np.datetime64("1999-12-30") + 7 * t) for t in range(len(data))]
+    labels = np.array([label for label, _ in data], dtype=int)
+    values = np.array([value for _, value in data], dtype=float)
+    with tempfile.TemporaryDirectory() as tmp:
+        states, ratio = Path(tmp) / "states.csv", Path(tmp) / "ratio.csv"
+        cli._write_csv(states, "date,label", dates, labels)
+        cli._write_csv(ratio, "date,value", dates, values)
+        assert states.read_bytes() == _csv_per_line(
+            "date,label", dates, (int(v) for v in labels))
+        assert ratio.read_bytes() == _csv_per_line(
+            "date,value", dates, (repr(float(v)) for v in values))
+
+
 def test_ratio_takes_the_fit_scores(price_csv, tmp_path, monkeypatch):
     # the ratio is the difference of two of the fit's own score columns:
     # analysis scores nothing, and the file is the one a rescoring writes

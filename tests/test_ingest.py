@@ -371,10 +371,27 @@ def test_each_trap_reads_as_on_the_csv_path(tmp_path):
         [BASIC.replace("BBB", name) for name in _TRAP_NAMES]
         + [BASIC.replace("2020-01-02", day) for day in _TRAP_DATES]
         + [BASIC.replace("4.0,", cell + ",") for cell in _TRAP_CELLS]
-        + [BASIC.replace(row, cut) for cut in (row + ",1", row + ",", row[:-4], row[:10])]
+        + [BASIC.replace(row, cut) for cut in (row + ",1", row + ",", row[:-4], row[:10], row[:11])]
+        # the block parse reads each row's first 11 characters as its date
+        + [BASIC.replace("2020-01-02,", "2020-01-02x,")]
     )
     for body in bodies:
         _same_as_csv_path(_write(tmp_path, body))
+
+
+def test_descending_rows_take_the_block_parse(tmp_path, monkeypatch):
+    prices = panels.returns_to_prices(panels.three_regime_panel(seed=2)[0])
+    panels.write_prices_csv(tmp_path / "sorted.csv", prices)
+    header, *rows = (tmp_path / "sorted.csv").read_text(encoding="utf-8").splitlines()
+    descending = _write(tmp_path, "\n".join([header, *rows[::-1]]) + "\n", "descending.csv")
+
+    def refuse(reader, path):
+        raise AssertionError(f"{path} fell back to the csv path")
+
+    monkeypatch.setattr(ingest, "_read_rows", refuse)
+    a, b = load_price_panel(tmp_path / "sorted.csv"), load_price_panel(descending)
+    assert (b.dates, b.assets) == (a.dates, a.assets) == (list(prices.dates), list(prices.assets))
+    assert b.values.tobytes() == a.values.tobytes()
 
 
 @settings(max_examples=300, deadline=None)

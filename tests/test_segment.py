@@ -1,4 +1,5 @@
 import itertools
+import math
 import tracemalloc
 from dataclasses import asdict, replace
 
@@ -282,13 +283,36 @@ def test_labels_match_reference_on_ties(rng):
                 _assert_same_path_as_reference(values, gamma)
 
 
+def _layout(t_len):
+    """solve_path's (block width, transfers per group, groups) at T days:
+    blocks of w = the cube root of T rounded down, the T / w - 1 block
+    transfers (rounded up) in groups of their square root rounded down."""
+    w = max(v for v in range(1, 20) if v**3 <= t_len)
+    transfers = -(-t_len // w) - 1
+    per_group = max(1, math.isqrt(transfers))
+    return w, per_group, -(-transfers // per_group)
+
+
 def _block_edge_lengths():
-    """T on both sides of each block edge for w in 2..40: T - 1 or T is
-    w^2 - 1, w^2, w^2 + 1 or w(w + 1)."""
+    """T on both sides of each block and group edge: T - 1 or T is
+    w^2 - 1, w^2, w^2 + 1 or w(w + 1) for w in 2..40 (the square-root
+    blocks of an earlier layout), w^3 - 1, w^3, w^3 + 1 or w^2(w + 1) for
+    w in 2..12, or, below 2200 days, a length at which the block width,
+    the group size or the group count changes; T - 1, T and T + 1 where
+    the last block and the last group are both full."""
     lengths = set()
     for w in range(2, 41):
         for days in (w * w - 1, w * w, w * w + 1, w * (w + 1)):
             lengths |= {days, days + 1}
+    for w in range(2, 13):
+        for days in (w**3 - 1, w**3, w**3 + 1, w * w * (w + 1)):
+            lengths |= {days, days + 1}
+    for days in range(2, 2200):
+        w, per_group, groups = _layout(days)
+        if _layout(days - 1) != (w, per_group, groups):
+            lengths |= {days - 1, days}
+        if days % w == 0 and (days // w - 1) % per_group == 0:
+            lengths |= {days - 1, days, days + 1}
     return sorted(lengths)
 
 
