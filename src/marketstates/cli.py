@@ -8,6 +8,9 @@ A run writes four files into the output directory:
                with diagnostics, even when the fit fails)
   ratio.csv    date,value likelihood-ratio series (when --ratio is given)
 
+Every JSON file (models.json, report.json, sweep.json) is one line of
+sorted-key JSON plus a newline, written by _write_json.
+
 main validates what it runs, the one fit or every sweep cell, creates the
 output directory and loads the panel once, z-scored if --standardize is
 set; run_fit and run_sweep work on that panel in memory. A sweep writes
@@ -84,9 +87,13 @@ def _parse_ratio(ratio: str | None, n_clusters: int):
 
 
 def _write_json(path: Path, payload: dict) -> None:
+    """Write payload as one line of sorted-key JSON plus a newline.
+
+    json.dumps, not json.dump(fh) or indent=, so that json's C encoder
+    runs: the other two take its pure-Python encoder.
+    """
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
 def _write_csv(path: Path, header: str, dates, values: np.ndarray) -> None:
@@ -103,57 +110,28 @@ def _write_csv(path: Path, header: str, dates, values: np.ndarray) -> None:
         fh.write(f"{header}\n" + "".join(lines))
 
 
-# json.dump's text for the floats that have no JSON literal
-_JSON_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-# an edge [i, j, value] opens at indent 8, so its items sit at indent 10
-_EDGE_PAD = "\n" + " " * 10
+def _models_payload(models, occupancy, assets) -> dict:
+    """models.json's content; occupancy[k] is the days state k holds in states.csv.
 
-
-def _json_floats(values) -> list:
-    """The text json.dump writes for each float: its repr, or NaN / Infinity."""
-    return [_JSON_FLOATS.get(text, text) for text in map(repr, values)]
-
-
-def _json_list(items: list, indent: int) -> str:
-    """items, each JSON text already, as json.dump(indent=2) writes a list at indent."""
-    if not items:
-        return "[]"
-    pad = " " * (indent + 2)
-    return f"[\n{pad}" + f",\n{pad}".join(items) + f"\n{' ' * indent}]"
-
-
-def _write_models(path: Path, models, occupancy, assets) -> None:
-    """Write models.json; occupancy[k] is the days state k holds in states.csv.
-
-    The file is {"assets": [...], "states": [{"diagonal", "edges", "label",
-    "log_det", "mu", "occupancy"}, ...]}, formatted here to the bytes that
-    json.dump(payload, fh, indent=2, sort_keys=True) plus a newline writes:
-    json's indent mode runs its pure-Python encoder.
+    The off-diagonal entries are [i, j, value] edges in the sorted (i, j)
+    order that precision.indices() gives them.
     """
     states = []
     for model, days in zip(models, occupancy):
-        # the upper-triangle entries come sorted by (i, j), so the edges
-        # need no sort
         precision = model.precision
         i, j = precision.indices()
         off = i != j
         diagonal = np.zeros(precision.n)
         diagonal[i[~off]] = precision.sums[~off]
-        edges = zip(i[off].tolist(), j[off].tolist(), _json_floats(precision.sums[off].tolist()))
-        members = (
-            ("diagonal", _json_list(_json_floats(diagonal.tolist()), 6)),
-            ("edges", _json_list([f"[{_EDGE_PAD}{a},{_EDGE_PAD}{b},{_EDGE_PAD}{v}\n        ]"
-                                  for a, b, v in edges], 6)),
-            ("label", f"{int(model.label)}"),
-            ("log_det", _json_floats([float(precision.log_det)])[0]),
-            ("mu", _json_list(_json_floats(np.asarray(model.mu, dtype=float).tolist()), 6)),
-            ("occupancy", f"{int(days)}"),
-        )
-        states.append("{\n" + ",\n".join(f'      "{key}": {text}' for key, text in members)
-                      + "\n    }")
-    names = _json_list([json.dumps(name) for name in assets], 2)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f'{{\n  "assets": {names},\n  "states": {_json_list(states, 2)}\n}}\n')
+        states.append({
+            "diagonal": diagonal.tolist(),
+            "edges": list(zip(i[off].tolist(), j[off].tolist(), precision.sums[off].tolist())),
+            "label": int(model.label),
+            "log_det": float(precision.log_det),
+            "mu": np.asarray(model.mu, dtype=float).tolist(),
+            "occupancy": int(days),
+        })
+    return {"assets": list(assets), "states": states}
 
 
 def _report_failure(exc: Exception, config: RunConfig | None, report_dir: Path | None):
@@ -203,7 +181,7 @@ def run_fit(config: RunConfig, returns: ReturnsPanel, *, memo=None) -> StatePath
     _write_csv(out_dir / "states.csv", "date,label", returns.dates, path.labels)
     if series is not None:
         _write_csv(out_dir / "ratio.csv", "date,value", series.dates, series.values)
-    _write_models(out_dir / "models.json", models, report.occupancy, returns.assets)
+    _write_json(out_dir / "models.json", _models_payload(models, report.occupancy, returns.assets))
 
     payload = {"status": "ok", "config": asdict(config), **asdict(report)}
     if series is not None:

@@ -7,9 +7,10 @@ switching penalty gamma is charged whenever consecutive assignments
 differ. Because the penalty only couples neighboring time points, the
 optimal assignment given fixed states is found exactly by dynamic
 programming, run in numpy over blocks of about T^(1/3) days whose
-chain is itself grouped (see solve_path); fitting alternates that assignment step with per-state
-re-estimation until the labels stop changing; a state keeps its old
-model if the new one scores the state's days worse.
+chain is itself grouped (see solve_path); fitting alternates that
+assignment step with per-state re-estimation until the labels stop
+changing; a state keeps its old model if the new one scores the
+state's days worse.
 
 Scoring multiplies by each J as a dense array built from the precision's
 upper-triangle entries, so fitting imports numpy only.

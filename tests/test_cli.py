@@ -38,6 +38,15 @@ def _one_stderr_line(capsys) -> str:
     return err
 
 
+def _assert_one_json_layout(out: Path) -> None:
+    """Every JSON file under out is one line of sorted-key JSON plus a newline."""
+    paths = sorted(out.rglob("*.json"))
+    assert paths
+    for path in paths:
+        text = path.read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), sort_keys=True) + "\n", path
+
+
 def test_fit_writes_all_outputs(price_csv, tmp_path):
     out = tmp_path / "run"
     code = _run(
@@ -77,6 +86,7 @@ def test_fit_writes_all_outputs(price_csv, tmp_path):
     assert ratio[0] == "date,value"
     assert len(ratio) == 1 + 600
     float(ratio[1].split(",")[1])
+    _assert_one_json_layout(out)
 
 
 def test_occupancy_counts_the_days_in_states_csv(price_csv, tmp_path):
@@ -353,6 +363,7 @@ def test_failure_report_written_for_data_error(tmp_path, price_csv):
     report = json.loads((out / "report.json").read_text())
     assert report["status"] == "error"
     assert "duplicate" in report["error"]
+    _assert_one_json_layout(out)
 
 
 def test_sweep_outputs(price_csv, tmp_path):
@@ -376,6 +387,7 @@ def test_sweep_outputs(price_csv, tmp_path):
     assert np.allclose(np.diag(matrix), 1.0)
     assert np.allclose(matrix, matrix.T)
     assert np.all((matrix >= 0.0) & (matrix <= 1.0))
+    _assert_one_json_layout(out)
 
 
 def test_sweep_gamma_only_uses_base_clusters(price_csv, tmp_path):
@@ -683,12 +695,10 @@ def test_models_json_matches_the_csr_payload(tmp_path):
         assert 0.0 in models[1].precision.sums
         assets = [f"A{i}" for i in range(n)]
         occupancy = [n, 0]  # days held in states.csv, not the estimation days
-        cli._write_models(tmp_path / "models.json", models, occupancy, assets)
-        with open(tmp_path / "old.json", "w", encoding="utf-8") as fh:
-            expected = _csr_models_payload(models, occupancy, assets)
-            json.dump(expected, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        assert (tmp_path / "models.json").read_bytes() == (tmp_path / "old.json").read_bytes(), n
+        path = tmp_path / "models.json"
+        cli._write_json(path, cli._models_payload(models, occupancy, assets))
+        expected = _csr_models_payload(models, occupancy, assets)
+        assert path.read_bytes() == (json.dumps(expected, sort_keys=True) + "\n").encode(), n
 
 
 # floats whose JSON text is easy to get wrong, and names json escapes
@@ -734,15 +744,32 @@ def _models_file(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(drawn=_models_file())
-def test_models_writer_matches_json_dump(drawn):
+def test_models_payload_writes_as_sorted_key_json(drawn):
     models, occupancy, assets, payload = drawn
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "models.json"
-        cli._write_models(path, models, occupancy, assets)
+        cli._write_json(path, cli._models_payload(models, occupancy, assets))
         written = path.read_bytes()
-    expected = io.StringIO()
-    json.dump(payload, expected, indent=2, sort_keys=True)
-    assert written == (expected.getvalue() + "\n").encode("utf-8")
+    assert written == (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
+
+
+@pytest.mark.skipif(json.encoder.c_make_encoder is None, reason="json has no C encoder")
+def test_json_files_are_written_by_the_c_encoder(tmp_path, monkeypatch):
+    # json.dump(fh) and indent= take json's pure-Python encoder, several
+    # times slower on a sweep's models.json
+    def refuse(*args, **kwargs):
+        raise AssertionError("the pure-Python JSON encoder ran")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    n = 5
+    graph = build_tmfg(panels.random_similarity(np.random.default_rng(0), n))
+    model = segment.ClusterModel(
+        label=0, mu=np.zeros(n), precision=logo_precision(np.eye(n), graph),
+        graph=graph, member_count=n + 1,
+    )
+    payload = cli._models_payload([model], [n], [f"A{i}" for i in range(n)])
+    cli._write_json(tmp_path / "models.json", payload)
+    assert json.loads((tmp_path / "models.json").read_text()) == json.loads(json.dumps(payload))
 
 
 def _csv_per_line(header, dates, cells) -> bytes:
