@@ -249,8 +249,9 @@ def _blocks(cov: np.ndarray, vertex_sets, width: int) -> tuple:
     Blocks with a condition number above the limit (or not finite) and a
     positive trace get eps * trace / width added to the diagonal. Returns
     the vertex index array, the blocks and their log-determinants; raises
-    SingularSubmatrixError naming the first vertex set whose block is not
-    positive definite.
+    SingularSubmatrixError naming the first vertex set whose block, after
+    any ridge, has no finite log-determinant or no Cholesky factor; a
+    positive determinant is no test, eigenvalues (-1, -2, 1, 1) have one.
 
     The condition number takes an SVD, so it is computed only for blocks
     that a cheaper bound cannot clear. For any square block B,
@@ -266,7 +267,7 @@ def _blocks(cov: np.ndarray, vertex_sets, width: int) -> tuple:
     blocks = cov[idx[:, :, None], idx[:, None, :]]
     blocks = 0.5 * (blocks + blocks.transpose(0, 2, 1))
     trace = np.trace(blocks, axis1=1, axis2=2)
-    sign, logdet = np.linalg.slogdet(blocks)
+    logdet = np.linalg.slogdet(blocks)[1]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         log_bound = 0.5 * width * np.log(np.einsum("mij,mij->m", blocks, blocks)) - logdet
     unclear = np.flatnonzero(~(log_bound < _LOG_BOUND_LIMIT))
@@ -275,12 +276,21 @@ def _blocks(cov: np.ndarray, vertex_sets, width: int) -> tuple:
         ridge = (~np.isfinite(cond) | (cond > _RIDGE_CONDITION_LIMIT)) & (trace[unclear] > 0.0)
         ridged = unclear[ridge]
         blocks[ridged] += (_RIDGE_EPS * trace[ridged] / width)[:, None, None] * np.eye(width)
-        sign[ridged], logdet[ridged] = np.linalg.slogdet(blocks[ridged])
-    bad = (sign <= 0.0) | ~np.isfinite(logdet)
-    if bad.any():
-        first = int(np.argmax(bad))
+        logdet[ridged] = np.linalg.slogdet(blocks[ridged])[1]
+    ok = np.isfinite(logdet)
+    if not (ok.all() and _has_cholesky(blocks)):
+        first = next(m for m, block in enumerate(blocks) if not (ok[m] and _has_cholesky(block)))
         raise SingularSubmatrixError(vertex_sets[first], "not positive definite")
     return idx, blocks, logdet
+
+
+def _has_cholesky(blocks: np.ndarray) -> bool:
+    """Whether np.linalg.cholesky factors every block."""
+    try:
+        np.linalg.cholesky(blocks)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def _check_covariance(covariance, graph: TmfgGraph) -> np.ndarray:
@@ -323,8 +333,8 @@ def logo_precision(covariance, graph: TmfgGraph) -> SparsePrecision:
     result is exact when the true precision is supported on the graph.
 
     Cliques and separators are each inverted in one batched call and the
-    inverses symmetrized. Their upper-triangle entries are scattered with
-    np.add.at, which adds in index order: every entry of J starts at 0.0
+    inverses symmetrized. Their upper-triangle entries are summed by
+    np.bincount, which adds in input order: every entry of J starts at 0.0
     and sums clique contributions in graph order, then separator ones.
     Each off-diagonal sum is stored once and stands for both mirrored
     entries, so J is exactly symmetric. log_det comes from
@@ -343,6 +353,5 @@ def logo_precision(covariance, graph: TmfgGraph) -> SparsePrecision:
         values.append(sign * inv[:, a, b].ravel())
 
     upper, position = np.unique(np.concatenate(keys), return_inverse=True)
-    sums = np.zeros(upper.size)
-    np.add.at(sums, position, np.concatenate(values))
+    sums = np.bincount(position, weights=np.concatenate(values))
     return SparsePrecision(n=n, upper=upper, sums=sums, log_det=logdet_precision(cov, graph))

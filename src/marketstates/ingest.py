@@ -34,6 +34,14 @@ _MIN_ROWS = 2
 _MIN_ASSETS = 4
 
 
+def _matrix(values, dates, assets, noun: str) -> np.ndarray:
+    """values as a float matrix, len(dates) rows by len(assets) columns."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != (len(dates), len(assets)):
+        raise DataError(f"{noun} matrix shape {values.shape} is not {len(dates)} x {len(assets)}")
+    return values
+
+
 @dataclass
 class PricePanel:
     """A dated panel of strictly positive asset prices.
@@ -47,14 +55,7 @@ class PricePanel:
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.ndim != 2:
-            raise DataError("price values must be a 2-d matrix")
-        if self.values.shape != (len(self.dates), len(self.assets)):
-            raise DataError(
-                f"price matrix shape {self.values.shape} does not match "
-                f"{len(self.dates)} dates x {len(self.assets)} assets"
-            )
+        self.values = _matrix(self.values, self.dates, self.assets, "price")
         if not all(map(operator.lt, self.dates, self.dates[1:])):
             for a, b in zip(self.dates, self.dates[1:]):
                 if a == b:
@@ -78,14 +79,7 @@ class ReturnsPanel:
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.ndim != 2:
-            raise DataError("return values must be a 2-d matrix")
-        if self.values.shape != (len(self.dates), len(self.assets)):
-            raise DataError(
-                f"returns matrix shape {self.values.shape} does not match "
-                f"{len(self.dates)} dates x {len(self.assets)} assets"
-            )
+        self.values = _matrix(self.values, self.dates, self.assets, "return")
         if not np.all(np.isfinite(self.values)):
             bad = np.argwhere(~np.isfinite(self.values))[0]
             raise DataError(
@@ -187,11 +181,8 @@ def _read_block(text: str, path) -> PricePanel | None:
     if any(c in text for c in _CSV_ONLY):
         return None
     lines = text.split("\n")
-    # the csv module refuses a cell longer than its field size limit
-    limit = csv.field_size_limit()
-    if max(map(len, lines)) > limit and any(
-        len(cell) > limit for line in lines if len(line) > limit for cell in line.split(",")
-    ):
+    # a line longer than a cell may be is left to the csv module, cell by cell
+    if max(map(len, lines)) > csv.field_size_limit():
         return None
     # the csv module skips blank lines; whitespace-only ones fail the dates
     header, lines = lines[0], list(filter(None, lines[1:]))

@@ -166,16 +166,6 @@ def score_states(returns: ReturnsPanel, models, mode: str = "likelihood") -> Sco
     return ScoreMatrix(values=values)
 
 
-def _icbrt(n: int) -> int:
-    """The integer cube root of n >= 0: the largest w with w**3 <= n."""
-    w = round(n ** (1 / 3))
-    while w**3 > n:
-        w -= 1
-    while (w + 1) ** 3 <= n:
-        w += 1
-    return w
-
-
 def solve_path(scores: ScoreMatrix, gamma: float) -> StatePath:
     """Maximize sum_t score[t, k_t] - gamma * #switches over all label paths.
 
@@ -185,9 +175,9 @@ def solve_path(scores: ScoreMatrix, gamma: float) -> StatePath:
     bests, as np.argmax picks). Ties between staying and switching prefer
     staying, and the path ends in the lowest-index best state.
 
-    The recursion runs in numpy over blocks of w days, w the integer cube
-    root of T, all blocks at once: each block's K x K max-plus transfer
-    (its best score entering in state j and ending in k) in w steps. The
+    The recursion runs in numpy over blocks of w = round(T^(1/3)) days,
+    all blocks at once: each block's K x K max-plus transfer (its best
+    score entering in state j and ending in k) in w steps. The
     chain of the T / w transfers is itself cut into groups of g = isqrt of
     their count: g - 1 batched max-plus products give every group's
     running products, one step per group chains the groups' entry
@@ -218,7 +208,7 @@ def solve_path(scores: ScoreMatrix, gamma: float) -> StatePath:
 
     # padded day p = b * w + i is offset i of block b; s[i, k, b] is its
     # score in state k, state-major so that a day's step spans every block
-    w = _icbrt(t_len)
+    w = round(t_len ** (1 / 3))
     n_blocks = -(-t_len // w)
     pad = n_blocks * w - t_len
     s = np.empty((w, k_len, n_blocks))

@@ -18,6 +18,7 @@ import panels
 from marketstates import analysis, cli, segment
 from marketstates.cli import main
 from marketstates.ifn import SparsePrecision, build_tmfg, logo_precision
+from marketstates.ingest import load_price_panel, standardize_returns, to_log_returns
 
 
 @pytest.fixture(scope="module")
@@ -388,6 +389,62 @@ def test_sweep_outputs(price_csv, tmp_path):
     assert np.allclose(matrix, matrix.T)
     assert np.all((matrix >= 0.0) & (matrix <= 1.0))
     _assert_one_json_layout(out)
+
+
+def _assert_files_agree(out: Path) -> None:
+    """A fit ends on an assignment, so the files in out agree bit for bit.
+
+    Each state's dense J is rebuilt from models.json and scores the panel
+    that report.json names. The ratio_states columns differ by ratio.csv,
+    and solve_path on the scores at the run's gamma gives states.csv and
+    the report's objective.
+    """
+    report = json.loads((out / "report.json").read_text())
+    config = report["config"]
+    returns = to_log_returns(load_price_panel(config["input"]))
+    if config["standardize"]:
+        returns = standardize_returns(returns)
+    columns = []
+    for state in json.loads((out / "models.json").read_text())["states"]:
+        j = np.diag(state["diagonal"])
+        for a, b, value in state["edges"]:
+            j[a, b] = j[b, a] = value
+        d = returns.values - np.array(state["mu"])
+        columns.append(-0.5 * np.einsum("ti,ti->t", d, d @ j) + 0.5 * state["log_det"])
+    scores = np.column_stack(columns)
+
+    def rows(name):
+        dates, cells = zip(*(line.split(",") for line in (out / name).read_text().splitlines()[1:]))
+        assert list(dates) == returns.dates
+        return cells
+
+    a, b = report["ratio_states"]
+    ratio = np.array([float(cell) for cell in rows("ratio.csv")])
+    assert ratio.tobytes() == (scores[:, a] - scores[:, b]).tobytes()
+    path = segment.solve_path(scores, config["clustering"]["gamma"])
+    assert [int(cell) for cell in rows("states.csv")] == path.labels.tolist()
+    assert path.objective == report["objective"]
+
+
+@pytest.mark.parametrize(
+    "family, flags, cell",
+    [
+        # each refits; the last two keep some models (repairs)
+        ("three_regime_panel", ["--clusters", 4, "--gamma", 10], ""),
+        ("two_regime_panel", ["--clusters", 3, "--gamma", 0, "--standardize"], ""),
+        ("block_regime_panel", ["--clusters", 4, "--gamma", 10], ""),
+        # stopped by the budget, not converged
+        ("three_regime_panel", ["--clusters", 4, "--gamma", 10, "--max-iter", 1], ""),
+        # a sweep cell; at gamma = 0 it refits most
+        ("three_regime_panel", ["--sweep-k", 4, "--sweep-gamma", "0,100"], "K4_gamma0"),
+    ],
+)
+def test_output_files_agree_with_each_other(tmp_path, family, flags, cell):
+    prices = tmp_path / "prices.csv"
+    panels.write_prices_csv(prices, panels.returns_to_prices(getattr(panels, family)()[0]))
+    out = tmp_path / "run"
+    assert _run(["--input", prices, "--output", out, "--ratio", "auto", *flags]) == 0
+    _assert_files_agree(out / cell)
 
 
 def test_sweep_gamma_only_uses_base_clusters(price_csv, tmp_path):

@@ -283,8 +283,8 @@ def logo_loop_oracle(cov, g):
 
     Each clique and separator block is sliced, symmetrized, ridged when
     its condition number is above the limit (and its trace positive),
-    checked by slogdet, inverted and symmetrized again; entries
-    accumulate cliques first, then separators, each from 0.0. The
+    checked by Cholesky and slogdet, inverted and symmetrized again;
+    entries accumulate cliques first, then separators, each from 0.0. The
     log-determinant adds separators, then subtracts cliques. Returns
     (CSR matrix, log_det, number of ridged blocks).
     """
@@ -300,8 +300,12 @@ def logo_loop_oracle(cov, g):
             if trace > 0.0:
                 block = block + (_RIDGE_EPS * trace / len(verts)) * np.eye(len(verts))
                 ridged += 1
-        sign, logdet = np.linalg.slogdet(block)
-        if sign <= 0.0 or not np.isfinite(logdet):
+        logdet = np.linalg.slogdet(block)[1]
+        try:
+            np.linalg.cholesky(block)
+        except np.linalg.LinAlgError:
+            raise SingularSubmatrixError(verts, "not positive definite") from None
+        if not np.isfinite(logdet):
             raise SingularSubmatrixError(verts, "not positive definite")
         return block, float(logdet)
 
@@ -388,7 +392,7 @@ def _assert_same_outcome_as_loop_oracle(cov, g):
         # condition number 1e11, under a norm-determinant bound of 9e11
         # that is above half the limit, so the SVD decides
         ([1.0, 1.0, 1.0, 1e-11], False),
-        # indefinite with a positive determinant
+        # indefinite with a positive determinant: an error, as for zeros
         ([-1.0, -2.0, 1.0, 1.0], False),
         ([0.0, 0.0, 0.0, 0.0], False),
     ],
@@ -410,7 +414,7 @@ def test_logo_bitwise_matches_loop_oracle_at_the_ridge_limit(rng, eigenvalues, r
         cov[np.ix_(verts, verts)] = block
         count = _assert_same_outcome_as_loop_oracle(cov, g)
         if not rotate and n == 4:
-            assert count is None if eigenvalues[0] == 0.0 else (count > 0) == ridged
+            assert count is None if eigenvalues[0] <= 0.0 else (count > 0) == ridged
 
 
 def test_well_conditioned_blocks_take_no_svd(rng, monkeypatch):
@@ -439,18 +443,35 @@ def test_well_conditioned_blocks_take_no_svd(rng, monkeypatch):
 
 
 def test_singular_block_error_names_the_oracle_block(rng):
-    # every 4x4 block of -I has det +1, so the first failure is a separator
+    # every 4x4 block of -I has det +1 but no Cholesky factor, so the
+    # first failure is the first clique, checked before any separator
     bad = -np.eye(6)
     g = build_tmfg(panels.random_similarity(rng, 6))
     with pytest.raises(SingularSubmatrixError) as expected:
         logo_loop_oracle(bad, g)
-    assert expected.value.vertices == tuple(g.separators[0])
+    assert expected.value.vertices == tuple(g.cliques[0])
     with pytest.raises(SingularSubmatrixError) as err:
         logo_precision(bad, g)
     assert err.value.vertices == expected.value.vertices
     with pytest.raises(SingularSubmatrixError) as err:
         logdet_precision(bad, g)
     assert err.value.vertices == expected.value.vertices
+
+
+@pytest.mark.parametrize("n", [4, 9, 30])
+def test_indefinite_block_with_a_positive_determinant_is_singular(rng, n):
+    # eigenvalues (-1, -2, 1, 1): determinant +2, condition number 2, so
+    # neither the determinant nor the ridge can tell it from a covariance
+    g = build_tmfg(panels.random_similarity(rng, n))
+    q = np.linalg.qr(rng.normal(size=(4, 4)))[0]
+    cov = panels.random_spd(rng, n)
+    verts = list(g.cliques[0])
+    cov[np.ix_(verts, verts)] = q @ np.diag([-1.0, -2.0, 1.0, 1.0]) @ q.T
+    for estimate in (logo_precision, logdet_precision):
+        with pytest.raises(SingularSubmatrixError) as err:
+            estimate(cov, g)
+        assert err.value.vertices == tuple(verts)
+    assert _assert_same_outcome_as_loop_oracle(cov, g) is None
 
 
 def test_identity_covariance_gives_identity_precision(rng):

@@ -283,11 +283,20 @@ def test_labels_match_reference_on_ties(rng):
                 _assert_same_path_as_reference(values, gamma)
 
 
-def _layout(t_len):
+def _rounded_cbrt(t_len):
+    return round(t_len ** (1 / 3))
+
+
+def _floor_cbrt(t_len):
+    return max(v for v in range(1, 20) if v**3 <= t_len)
+
+
+def _layout(t_len, width=_rounded_cbrt):
     """solve_path's (block width, transfers per group, groups) at T days:
-    blocks of w = the cube root of T rounded down, the T / w - 1 block
-    transfers (rounded up) in groups of their square root rounded down."""
-    w = max(v for v in range(1, 20) if v**3 <= t_len)
+    blocks of w = the cube root of T rounded to the nearest integer, the
+    T / w - 1 block transfers (rounded up) in groups of their square root
+    rounded down. width=_floor_cbrt gives an earlier layout's."""
+    w = width(t_len)
     transfers = -(-t_len // w) - 1
     per_group = max(1, math.isqrt(transfers))
     return w, per_group, -(-transfers // per_group)
@@ -297,9 +306,12 @@ def _block_edge_lengths():
     """T on both sides of each block and group edge: T - 1 or T is
     w^2 - 1, w^2, w^2 + 1 or w(w + 1) for w in 2..40 (the square-root
     blocks of an earlier layout), w^3 - 1, w^3, w^3 + 1 or w^2(w + 1) for
-    w in 2..12, or, below 2200 days, a length at which the block width,
+    w in 2..12, within 2 of (m + 1/2)^3 for m in 1..14 (where the rounded
+    width steps), or, below 2200 days, a length at which the block width,
     the group size or the group count changes; T - 1, T and T + 1 where
-    the last block and the last group are both full."""
+    the last block and the last group are both full. The last two rules
+    hold for the rounded width and for the cube root rounded down of an
+    earlier layout."""
     lengths = set()
     for w in range(2, 41):
         for days in (w * w - 1, w * w, w * w + 1, w * (w + 1)):
@@ -307,9 +319,12 @@ def _block_edge_lengths():
     for w in range(2, 13):
         for days in (w**3 - 1, w**3, w**3 + 1, w * w * (w + 1)):
             lengths |= {days, days + 1}
-    for days in range(2, 2200):
-        w, per_group, groups = _layout(days)
-        if _layout(days - 1) != (w, per_group, groups):
+    for m in range(1, 15):
+        step = math.ceil((m + 0.5) ** 3)
+        lengths |= set(range(step - 2, step + 2))
+    for days, width in itertools.product(range(2, 2200), (_rounded_cbrt, _floor_cbrt)):
+        w, per_group, groups = _layout(days, width)
+        if _layout(days - 1, width) != (w, per_group, groups):
             lengths |= {days - 1, days}
         if days % w == 0 and (days // w - 1) % per_group == 0:
             lengths |= {days - 1, days, days + 1}
