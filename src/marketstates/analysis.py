@@ -1,14 +1,15 @@
 """Post-fit diagnostics.
 
 likelihood_ratio compares two fitted states pointwise: the per-date
-difference of their scores, positive when the first state explains that
-date better; given the fit's own score matrix it takes the difference of
-two of its columns. The switching penalty is a property of paths, not of
-single dates, so it never enters the ratio.
+difference of two columns of one score matrix, the fit's own or one
+scored here, positive when the first state explains that date better.
+The switching penalty is a property of paths, not of single dates, so it
+never enters the ratio.
 suggest_ratio_states ranks occupied states by mean equal-weight return.
 label_agreement matches the states of two label paths with an exact
 Hungarian method on their integer confusion counts (Kuhn, Naval Res.
-Logistics Quarterly 1955), in plain Python.
+Logistics Quarterly 1955), in plain Python, with one row and one column
+per label that occurs, so its cost follows the number of states.
 """
 
 import math
@@ -35,13 +36,11 @@ def likelihood_ratio(
 ) -> RatioSeries:
     """Pointwise score difference between two states (penalty-free).
 
-    values[t] = score(t, state_a) - score(t, state_b); swapping the states
-    negates the series exactly. scores, if given, is the T x len(models)
-    score matrix of these models on returns, such as fit's path.scores,
-    and the series is the difference of its columns state_a and state_b;
-    another shape is a ValueError. Left as None, the two states are
-    scored here. A column does not depend on the other models scored
-    with it, so both ways give the same bits.
+    values[t] = score(t, state_a) - score(t, state_b), the difference of
+    two columns of the T x len(models) score matrix of these models on
+    returns; swapping the states negates the series exactly. scores, if
+    given, is that matrix, such as fit's path.scores; another shape is a
+    ValueError. Left as None, every model is scored here.
     """
     k_len = len(models)
     for s in (state_a, state_b):
@@ -49,17 +48,11 @@ def likelihood_ratio(
             raise ValueError(f"state {s} out of range for {k_len} models")
     if state_a == state_b:
         raise ValueError("state_a and state_b must differ")
-    if scores is None:
-        values = score_states(returns, [models[state_a], models[state_b]]).values
-        a, b = values[:, 0], values[:, 1]
-    else:
-        values = scores.values
-        if values.shape != (len(returns.dates), k_len):
-            raise ValueError(
-                f"scores have shape {values.shape}, need {(len(returns.dates), k_len)}"
-            )
-        a, b = values[:, state_a], values[:, state_b]
-    return RatioSeries(dates=list(returns.dates), values=a - b, state_a=state_a, state_b=state_b)
+    values = (score_states(returns, models) if scores is None else scores).values
+    if values.shape != (len(returns.dates), k_len):
+        raise ValueError(f"scores have shape {values.shape}, need {(len(returns.dates), k_len)}")
+    ratio = values[:, state_a] - values[:, state_b]
+    return RatioSeries(dates=list(returns.dates), values=ratio, state_a=state_a, state_b=state_b)
 
 
 def suggest_ratio_states(path: StatePath, returns: ReturnsPanel) -> tuple:
@@ -70,7 +63,8 @@ def suggest_ratio_states(path: StatePath, returns: ReturnsPanel) -> tuple:
             f"path length {labels.shape[0]} does not match panel length {len(returns.dates)}"
         )
     equal_weight = returns.values.mean(axis=1)
-    # not np.unique: its first call imports numpy.ma (about 10 ms)
+    # not np.unique: called without return_inverse, its first call imports
+    # numpy.ma (10-18 ms); the calls in LoGo and label_agreement pass it
     states = sorted(set(labels.tolist()))
     mean_return = {s: float(equal_weight[labels == s].mean()) for s in states}
     crisis = min(states, key=lambda s: (mean_return[s], s))
@@ -132,10 +126,12 @@ def _matched_sum(weights) -> int:
 def label_agreement(labels_a, labels_b) -> float:
     """Fraction of points agreeing after maximum-overlap label matching.
 
-    Builds the confusion matrix of the two label sequences and matches
-    states by Hungarian assignment (_matched_sum), so arbitrary per-run
-    label identities do not matter. Sequences may use different state
-    counts. Labels must be non-negative integers (not cast or wrapped).
+    Builds the confusion matrix of the two label sequences, one row and
+    one column per label that occurs, and matches states by Hungarian
+    assignment (_matched_sum), so arbitrary per-run label identities do
+    not matter and the cost follows the number of distinct labels, not
+    their values. Sequences may use different state counts. Labels must
+    be non-negative integers (not cast or wrapped).
     """
     a = np.asarray(labels_a, dtype=float)
     b = np.asarray(labels_b, dtype=float)
@@ -146,9 +142,8 @@ def label_agreement(labels_a, labels_b) -> float:
     both = np.concatenate([a, b])
     if not np.all((both >= 0) & (both < np.inf) & (both == np.floor(both))):
         raise ValueError("labels must be non-negative integers")
-    a, b = a.astype(int), b.astype(int)
-    k_a = int(a.max()) + 1
-    k_b = int(b.max()) + 1
-    confusion = np.zeros((k_a, k_b), dtype=int)
-    np.add.at(confusion, (a, b), 1)
+    states_a, a = np.unique(a, return_inverse=True)
+    states_b, b = np.unique(b, return_inverse=True)
+    k_a, k_b = states_a.size, states_b.size
+    confusion = np.bincount(a * k_b + b, minlength=k_a * k_b).reshape(k_a, k_b)
     return _matched_sum(confusion) / a.shape[0]

@@ -37,6 +37,8 @@ import numpy as np
 
 from .errors import SingularSubmatrixError
 
+# a TMFG grows from a 4-clique: the fewest vertices, or assets, it takes
+MIN_VERTICES = 4
 # Sub-covariance blocks with condition number above this get a small ridge
 # (eps * trace / size) before inversion, so clusters with few observations
 # do not abort the fit.
@@ -122,8 +124,8 @@ def _validate_similarity(similarity) -> np.ndarray:
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise ValueError(f"similarity must be square, got shape {w.shape}")
     n = w.shape[0]
-    if n < 4:
-        raise ValueError(f"need at least 4 vertices to build a TMFG, got {n}")
+    if n < MIN_VERTICES:
+        raise ValueError(f"need at least {MIN_VERTICES} vertices to build a TMFG, got {n}")
     np.fill_diagonal(w, 0.0)
     if not np.isfinite(w).all():
         raise ValueError("similarity matrix has NaN or infinite off-diagonal entries")

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
+from .ifn import MIN_VERTICES
 
 _ISO_DATE = re.compile(r"^[0-9]{4}-[0-9]{2}-[0-9]{2}$")
 # the date prefixes of all rows, joined; year 0 is no date to fromisoformat
@@ -30,8 +31,6 @@ _ISO_DATE_PREFIXES = re.compile(r"(?:(?!0000)[0-9]{4}-[0-9]{2}-[0-9]{2},)*")
 _CSV_ONLY = '"\r\x00'
 _DATE_COLUMN = "date"
 _MIN_ROWS = 2
-# the smallest panel the downstream graph builder accepts
-_MIN_ASSETS = 4
 
 
 def _matrix(values, dates, assets, noun: str) -> np.ndarray:
@@ -114,10 +113,8 @@ def _parse_header(header: list, path) -> list[str]:
     assets = [h.strip() for h in header[1:]]
     if "" in assets:
         raise DataError(f"{path}: header column {assets.index('') + 2} has an empty asset name")
-    if len(assets) < _MIN_ASSETS:
-        raise DataError(
-            f"{path}: need at least {_MIN_ASSETS} asset columns, got {len(assets)}"
-        )
+    if len(assets) < MIN_VERTICES:
+        raise DataError(f"{path}: need at least {MIN_VERTICES} asset columns, got {len(assets)}")
     if len(set(assets)) != len(assets):
         raise DataError(f"{path}: duplicate asset columns in header")
     return assets

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, EstimationError, FitError
-from .ifn import SparsePrecision, TmfgGraph, build_tmfg, logo_precision
+from .ifn import MIN_VERTICES, SparsePrecision, TmfgGraph, build_tmfg, logo_precision
 from .ingest import ReturnsPanel
 
 SIMILARITY_MODES = ("signed", "absolute", "squared")
@@ -444,8 +444,8 @@ def fit(returns: ReturnsPanel, config: ClusteringConfig, *, memo=None):
     """
     config.validate()
     t_len, n = returns.values.shape
-    if n < 4:
-        raise ConfigError(f"need at least 4 assets, got {n}")
+    if n < MIN_VERTICES:
+        raise ConfigError(f"need at least {MIN_VERTICES} assets, got {n}")
     min_size = config.resolved_min_cluster_size(n)
     if t_len < config.n_clusters * min_size:
         raise ConfigError(

@@ -255,3 +255,31 @@ def test_label_agreement_rejects_negative_or_fractional_labels(labels_a, labels_
 
 def test_label_agreement_accepts_integral_floats():
     assert label_agreement([0.0, 0.0, 1.0, 1.0], [1, 1, 0, 0]) == 1.0
+
+
+@pytest.mark.parametrize(
+    "labels_a, labels_b",
+    [
+        ([0, 0, 10**12], [0, 0, 1]),  # 10**12 + 1 rows if sized by the largest label
+        ([0.0, 1e300], [1, 0]),  # past every integer type
+    ],
+)
+def test_label_agreement_of_large_labels(labels_a, labels_b):
+    assert label_agreement(labels_a, labels_b) == 1.0
+    assert label_agreement(labels_b, labels_a) == 1.0
+
+
+def test_label_agreement_of_sparse_labels_matches_brute_force(rng):
+    # only which labels differ counts, not their values: k -> 10**9 k + 7
+    # on either sequence, or both, leaves the brute-force agreement
+    for _ in range(25):
+        k = int(rng.integers(2, 5))
+        a = rng.integers(0, k, size=120)
+        b = rng.integers(0, k, size=120)
+        brute = max(
+            float((np.asarray(perm)[a] == b).mean())
+            for perm in itertools.permutations(range(k))
+        )
+        sparse_a, sparse_b = 10**9 * a + 7, 10**9 * b + 7
+        for x, y in ((sparse_a, b), (a, sparse_b), (sparse_a, sparse_b)):
+            assert label_agreement(x, y) == brute
