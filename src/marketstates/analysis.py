@@ -131,15 +131,14 @@ def label_agreement(labels_a, labels_b) -> float:
     assignment (_matched_sum), so arbitrary per-run label identities do
     not matter and the cost follows the number of distinct labels, not
     their values. Sequences may use different state counts. Labels must
-    be non-negative integers (not cast or wrapped).
+    be non-negative integers, compared as given (not cast or wrapped).
     """
-    a = np.asarray(labels_a, dtype=float)
-    b = np.asarray(labels_b, dtype=float)
+    a, b = np.asarray(labels_a), np.asarray(labels_b)
     if a.shape != b.shape or a.ndim != 1:
         raise ValueError("label sequences must be 1-d and equally long")
     if a.size == 0:
         raise ValueError("label sequences are empty; agreement is undefined")
-    both = np.concatenate([a, b])
+    both = np.concatenate([a.astype(float), b.astype(float)])
     if not np.all((both >= 0) & (both < np.inf) & (both == np.floor(both))):
         raise ValueError("labels must be non-negative integers")
     states_a, a = np.unique(a, return_inverse=True)

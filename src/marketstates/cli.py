@@ -236,11 +236,11 @@ def run_sweep(config: RunConfig, returns: ReturnsPanel, cells) -> int:
         k, gamma = cell.clustering.n_clusters, cell.clustering.gamma
         summary.append({"clusters": k, "gamma": gamma, "dir": name, "exit_code": code})
 
-    # agreement against a failed cell is unknown, not fabricated
-    agreement = [
-        [None if a is None or b is None else label_agreement(a, b) for b in labels]
-        for a in labels
-    ]
+    # unknown against a failed cell, not fabricated; symmetric, so one match per pair
+    agreement = [[None] * len(labels) for _ in labels]
+    for i, j in itertools.combinations_with_replacement(range(len(labels)), 2):
+        if labels[i] is not None and labels[j] is not None:
+            agreement[i][j] = agreement[j][i] = label_agreement(labels[i], labels[j])
     _write_json(
         Path(config.output) / "sweep.json", {"cells": summary, "agreement": agreement}
     )

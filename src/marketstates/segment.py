@@ -26,7 +26,8 @@ from .errors import ConfigError, EstimationError, FitError
 from .ifn import MIN_VERTICES, SparsePrecision, TmfgGraph, build_tmfg, logo_precision
 from .ingest import ReturnsPanel
 
-SIMILARITY_MODES = ("signed", "absolute", "squared")
+_SIMILARITY = {"signed": lambda corr: corr, "absolute": np.abs, "squared": np.square}
+SIMILARITY_MODES = tuple(_SIMILARITY)
 
 
 def _is_int(value) -> bool:
@@ -295,11 +296,7 @@ def _similarity_matrix(cov: np.ndarray, mode: str) -> np.ndarray:
     corr = cov / std[:, None]
     corr /= std[None, :]
     np.clip(corr, -1.0, 1.0, out=corr)
-    if mode == "absolute":
-        return np.abs(corr)
-    if mode == "squared":
-        return corr * corr
-    return corr
+    return _SIMILARITY[mode](corr)
 
 
 def estimate_cluster(
@@ -309,9 +306,11 @@ def estimate_cluster(
 
     mu and the covariance are the sample mean/covariance of the member
     rows; the TMFG is rebuilt on the configured similarity of those rows
-    and the precision is the LoGo estimate on it. member_indices must be
-    distinct days in [0, T), else ValueError.
+    and the precision is the LoGo estimate on it. An invalid config
+    raises ConfigError, and member_indices that are not distinct days in
+    [0, T) raise ValueError.
     """
+    config.validate()
     idx = np.sort(np.asarray(member_indices, dtype=int))
     t_len, n = returns.values.shape
     if idx.size and (idx[0] < 0 or idx[-1] >= t_len or not np.all(np.diff(idx))):

@@ -257,6 +257,19 @@ def test_label_agreement_accepts_integral_floats():
     assert label_agreement([0.0, 0.0, 1.0, 1.0], [1, 1, 0, 0]) == 1.0
 
 
+def test_label_agreement_keeps_integer_labels_exact():
+    # read as floats, 2**53 and 2**53 + 1 would be one label
+    big = [2**53, 2**53 + 1, 2**53 + 1]
+    assert label_agreement(big, [0, 1, 1]) == 1.0
+    assert label_agreement([0, 1, 1], big) == 1.0
+    assert label_agreement([0.0, 1e300], [1, 0]) == 1.0
+    for bad in (["a", "b", "b"], [0, 1.5, 1], [0, -1, 1], [0, np.nan, 1], [None, 0, 1]):
+        with pytest.raises(ValueError):
+            label_agreement(bad, [0, 1, 1])
+        with pytest.raises(ValueError):
+            label_agreement([0, 1, 1], bad)
+
+
 @pytest.mark.parametrize(
     "labels_a, labels_b",
     [

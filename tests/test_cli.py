@@ -346,6 +346,22 @@ def test_sweep_with_states_of_one_mean_runs_every_cell(zero_sum_csv, tmp_path, c
         assert json.loads((out / cell["dir"] / "report.json").read_text())["error_kind"] == "fit"
 
 
+def test_empty_input_path_is_a_config_error(tmp_path, capsys):
+    out = tmp_path / "noinput"
+    assert _run(["--input", "", "--output", out]) == 1
+    assert "input path must not be empty" in _one_stderr_line(capsys)
+    assert not out.exists()
+
+
+def test_unwritable_failure_report_keeps_the_exit_code(tmp_path, capsys):
+    # a directory named report.json leaves no room for the failure report
+    out = tmp_path / "noreport"
+    (out / "report.json").mkdir(parents=True)
+    assert _run(["--input", tmp_path / "absent.csv", "--output", out]) == 2
+    assert _one_stderr_line(capsys).startswith("marketstates: data error: ")
+    assert (out / "report.json").is_dir()
+
+
 def test_exit_code_on_unwritable_output(price_csv, tmp_path, capsys):
     # a directory where states.csv should go makes the write fail
     out = tmp_path / "blocked"
@@ -596,6 +612,34 @@ def test_sweep_estimates_each_state_once(price_csv, tmp_path, monkeypatch):
     assert held == [0, 1, 1, 2, None]
 
 
+def test_sweep_matches_each_pair_of_cells_once(price_csv, tmp_path, monkeypatch):
+    # agreement is symmetric: 6 cells take 21 matchings, the diagonal
+    # included, not one per ordered pair (36)
+    calls = []
+    agree = cli.label_agreement
+
+    def counting_agreement(labels_a, labels_b):
+        calls.append(None)
+        return agree(labels_a, labels_b)
+
+    monkeypatch.setattr(cli, "label_agreement", counting_agreement)
+    out = tmp_path / "pairs"
+    code = _run(
+        ["--input", price_csv, "--output", out, "--sweep-k", "2,3,4",
+         "--sweep-gamma", "50,200", "--max-iter", 1]
+    )
+    assert code == 0
+    assert len(calls) == 21
+    # and the table is the one every ordered pair gives
+    sweep = json.loads((out / "sweep.json").read_text())
+    labels = [
+        np.loadtxt(out / cell["dir"] / "states.csv", delimiter=",", skiprows=1, usecols=1,
+                   dtype=int)
+        for cell in sweep["cells"]
+    ]
+    assert sweep["agreement"] == [[agree(a, b) for b in labels] for a in labels]
+
+
 def test_sweep_rejects_colliding_cells(price_csv, tmp_path, capsys):
     # 50 and 50.0000001 both print as gamma50
     out = tmp_path / "collide"
@@ -633,7 +677,7 @@ def test_sweep_propagates_cell_failure(price_csv, tmp_path):
     assert codes[3] == 0 and codes[60] == 1
     # agreement against a failed cell is unknown, not fabricated
     matrix = sweep["agreement"]
-    assert matrix[0][1] is None and matrix[1][1] is None
+    assert matrix[0][1] is None and matrix[1][0] is None and matrix[1][1] is None
     assert matrix[0][0] == 1.0
 
 

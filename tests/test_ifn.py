@@ -605,9 +605,19 @@ def test_indefinite_block_raises_with_vertices(rng):
     assert len(err.value.vertices) in (3, 4)
 
 
+def test_covariance_of_another_shape_is_rejected(rng):
+    g = build_tmfg(panels.random_similarity(rng, 6))
+    for cov in (np.eye(5), np.eye(7), np.ones((6, 5)), np.ones(6)):
+        for estimate in (logo_precision, logdet_precision):
+            with pytest.raises(ValueError, match="does not match graph on 6 vertices"):
+                estimate(cov, g)
+
+
 def test_validation_rejects_bad_similarity(rng):
     with pytest.raises(ValueError):
         build_tmfg(np.ones((3, 3)))  # too small
+    with pytest.raises(ValueError, match=r"must be square, got shape \(5, 6\)"):
+        build_tmfg(np.ones((5, 6)))
     w = panels.random_similarity(rng, 6)
     w[0, 1] = np.nan
     w[1, 0] = np.nan

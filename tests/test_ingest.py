@@ -180,6 +180,15 @@ def test_rejects_malformed_csv(tmp_path, body, fragment):
         load_price_panel(_write(tmp_path, body))
 
 
+def test_rows_of_a_date_alone_fail_without_a_warning(tmp_path):
+    # the block parse would hand loadtxt no data, and loadtxt warns on that
+    body = "date,A,B,C,D\n2020-01-01,\n2020-01-02,\n"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match="line 2: expected 5 cells, got 2"):
+            load_price_panel(_write(tmp_path, body))
+
+
 def test_byte_order_mark_is_skipped(tmp_path):
     # spreadsheet exports often start with a UTF-8 byte-order mark
     plain = load_price_panel(_write(tmp_path, BASIC, "plain.csv"))

@@ -231,6 +231,25 @@ def test_score_matrix_rejects_nonfinite():
         ScoreMatrix(np.array([[0.0, 1.0], [np.inf, 2.0]]))
 
 
+@pytest.mark.parametrize(
+    "values",
+    [np.zeros(3), np.zeros((0, 2)), np.zeros((2, 0))],
+    ids=["1-d", "no-days", "no-states"],
+)
+def test_score_matrix_rejects_a_1d_or_empty_matrix(values):
+    with pytest.raises(ValueError, match="2-d and non-empty"):
+        ScoreMatrix(values)
+
+
+def test_score_states_rejects_a_model_of_another_width(rng):
+    panel = _panel(rng.normal(size=(20, 6)))
+    narrow = _model(rng, 5, label=1)
+    short_mean = replace(_model(rng, 6, label=1), mu=np.zeros(5))
+    for other in (narrow, short_mean):
+        with pytest.raises(ValueError, match="state 1 dimension does not match panel width 6"):
+            score_states(panel, [_model(rng, 6), other])
+
+
 # --- path solving
 
 
@@ -452,6 +471,13 @@ def test_estimate_rejects_constant_column(rng):
     values[:, 2] = 1.25
     with pytest.raises(EstimationError, match="zero variance"):
         estimate_cluster(_panel(values), np.arange(40), ClusteringConfig(n_clusters=2))
+
+
+def test_estimate_rejects_a_mistyped_similarity_mode(rng):
+    # estimate_cluster is public, so it checks the config that fit checks
+    config = ClusteringConfig(n_clusters=2, similarity_mode="Squared")
+    with pytest.raises(ConfigError, match="similarity_mode"):
+        estimate_cluster(_panel(rng.normal(size=(40, 6))), np.arange(40), config)
 
 
 @pytest.mark.parametrize("mode", segment.SIMILARITY_MODES)
