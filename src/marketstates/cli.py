@@ -99,13 +99,10 @@ def _write_json(path: Path, payload: dict) -> None:
 def _write_csv(path: Path, header: str, dates, values: np.ndarray) -> None:
     """Write the header, then one date,value line per date.
 
-    An integer value is written as its digits, a float as repr(float(v)):
-    the repr of the whole list holds each item's repr, split at ", ".
+    An integer value is written as its digits, a float as its repr, which
+    is a Python float's str.
     """
-    cells = values.tolist()
-    if values.dtype.kind == "f":
-        cells = repr(cells)[1:-1].split(", ")
-    lines = [f"{date},{cell}\n" for date, cell in zip(dates, cells)]
+    lines = [f"{date},{cell}\n" for date, cell in zip(dates, values.tolist())]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"{header}\n" + "".join(lines))
 

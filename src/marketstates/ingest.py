@@ -162,11 +162,12 @@ def _read_block(text: str, path) -> PricePanel | None:
 
     Every row must open with an 11-character YYYY-MM-DD date and its
     comma: one regex checks all of those prefixes joined, one datetime64
-    conversion checks the calendar, and one np.loadtxt reads the rest of
-    every row, so a row of another width fails in loadtxt or in the shape
-    check. Year 0, which numpy reads and date.fromisoformat does not, fails
-    the regex. Rows are sorted by a stable argsort, only when their dates
-    are not already increasing.
+    conversion checks the calendar, and one np.loadtxt reads every row's
+    price columns. A row with fewer cells fails in loadtxt's usecols, so
+    when the file holds one comma per asset per line, no row has more
+    cells either. Year 0, which numpy reads and date.fromisoformat does
+    not, fails the regex. Rows are sorted by a stable argsort, only when
+    their dates are not already increasing.
 
     Every file this returns None for goes to _read_rows, which either reads
     it (quoted cells, a lone carriage return, padded dates, prices such as
@@ -193,13 +194,10 @@ def _read_block(text: str, path) -> PricePanel | None:
             return None
         dates = prefixes.split(",")[:-1]
         days = np.array(dates, dtype="datetime64[D]")  # ValueError off the calendar
-        rest = [line[11:] for line in lines]
-        # loadtxt skips an empty row, and warns if it finds no row at all
-        if not any(rest):
+        if text.count(",") != (len(lines) + 1) * len(assets):
             return None
-        values = np.loadtxt(rest, delimiter=",", comments=None, ndmin=2)
-        if values.shape != (len(lines), len(assets)):
-            return None
+        values = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2,
+                            usecols=range(1, len(assets) + 1))
         if not np.all(days[1:] > days[:-1]):
             order = np.argsort(days, kind="stable")
             dates, values = [dates[i] for i in order.tolist()], values[order]

@@ -1,5 +1,6 @@
 import datetime
 import math
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -383,9 +384,30 @@ def test_each_trap_reads_as_on_the_csv_path(tmp_path):
         + [BASIC.replace(row, cut) for cut in (row + ",1", row + ",", row[:-4], row[:10], row[:11])]
         # the block parse reads each row's first 11 characters as its date
         + [BASIC.replace("2020-01-02,", "2020-01-02x,")]
+        # a row a cell too wide and one a cell too narrow keep the comma total
+        + [BASIC.replace("2020-01-01,1.0,1.0,10.0,3.0", "2020-01-01,1.0,1.0,10.0,3.0,1")
+           .replace(row, row[:-4])]
     )
     for body in bodies:
         _same_as_csv_path(_write(tmp_path, body))
+
+
+def test_block_parse_holds_one_copy_of_the_rows(tmp_path):
+    rng = np.random.default_rng(0)
+    prices = 100 * np.exp(np.cumsum(rng.normal(0.0, 0.01, (2500, 100)), axis=0))
+    days = (np.datetime64("2000-01-01") + np.arange(2500)).astype(str).tolist()
+    lines = ["date," + ",".join(f"A{j}" for j in range(100))]
+    lines += [f"{day}," + ",".join(map(repr, row)) for day, row in zip(days, prices.tolist())]
+    path = _write(tmp_path, "\n".join(lines) + "\n")
+    tracemalloc.start()
+    try:
+        panel = load_price_panel(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert panel.values.tobytes() == prices.tobytes()
+    # the read peaks near 2.6 files; one more copy of the rows reaches 3.6
+    assert peak < 3.1 * path.stat().st_size
 
 
 def test_descending_rows_take_the_block_parse(tmp_path, monkeypatch):
