@@ -3,7 +3,9 @@
 A run writes four files into the output directory:
 
   states.csv   date,label for every return date
-  models.json  per-state mean, precision edge list, log-determinant, occupancy
+  models.json  assets (the column names) and, per state, label, mu, the
+               precision's diagonal and edges ([i, j, value] with i < j),
+               log_det and occupancy
   report.json  objective trajectory, iterations, switches (always written,
                with diagnostics, even when the fit fails)
   ratio.csv    date,value likelihood-ratio series (when --ratio is given)

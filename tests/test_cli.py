@@ -278,11 +278,20 @@ def test_exit_code_on_malformed_csv(tmp_path, capsys):
         bad.write_bytes(body)
         assert _run(["--input", bad, "--output", tmp_path / "x"]) == 2
         assert "not a readable UTF-8 CSV file" in _one_stderr_line(capsys)
-    # dates that match YYYY-MM-DD but are not on the calendar
-    for date in ("2020-13-45", "2021-02-29"):
+    # dates that match YYYY-MM-DD but are not on the calendar (numpy reads year 0)
+    for date in ("2020-13-45", "2021-02-29", "0000-01-01"):
         bad.write_text(f"date,A,B,C,D\n2020-01-01,1,1,1,1\n{date},2,2,2,2\n")
         assert _run(["--input", bad, "--output", tmp_path / "x"]) == 2
         assert f"line 3: date '{date}' is not a calendar date" in _one_stderr_line(capsys)
+    # a row a cell too wide and one a cell too narrow keep the comma total
+    bad.write_text(
+        "date,AAA,BBB,CCC,DDD\n"
+        "2020-01-01,1.0,1.0,10.0,3.0,1\n"
+        "2020-01-02,2.0,1.0,10.0,3.0\n"
+        "2020-01-03,4.0,1.0,10.0\n"
+    )
+    assert _run(["--input", bad, "--output", tmp_path / "x"]) == 2
+    assert "line 2: expected 5 cells, got 6" in _one_stderr_line(capsys)
 
 
 def test_exit_code_on_fit_failure(tmp_path, capsys):

@@ -190,11 +190,13 @@ def test_rows_of_a_date_alone_fail_without_a_warning(tmp_path):
             load_price_panel(_write(tmp_path, body))
 
 
-def test_byte_order_mark_is_skipped(tmp_path):
-    # spreadsheet exports often start with a UTF-8 byte-order mark
+@pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["lf", "crlf"])
+def test_byte_order_mark_is_skipped(tmp_path, end):
+    # spreadsheet exports often start with a UTF-8 byte-order mark, and
+    # some end their lines in CRLF as well
     plain = load_price_panel(_write(tmp_path, BASIC, "plain.csv"))
     marked = tmp_path / "marked.csv"
-    marked.write_bytes(b"\xef\xbb\xbf" + BASIC.encode("utf-8"))
+    marked.write_bytes(b"\xef\xbb\xbf" + BASIC.replace("\n", end).encode("utf-8"))
     panel = load_price_panel(marked)
     assert list(panel.dates) == list(plain.dates)
     assert list(panel.assets) == list(plain.assets)
@@ -254,8 +256,9 @@ def test_leap_day_is_a_calendar_date(tmp_path):
         BASIC.replace("\n", "\r"),
         BASIC.replace("\n", "\r\n").replace("4.0,", '"4.0",'),
         BASIC.replace("2020-01-02", " 2020-01-02 "),
+        "".join(",".join(f'"{c}"' for c in line.split(",")) + "\n" for line in BASIC.splitlines()),
     ],
-    ids=["quoted", "underscore", "lone-cr", "crlf-quoted", "padded-date"],
+    ids=["quoted", "underscore", "lone-cr", "crlf-quoted", "padded-date", "all-quoted"],
 )
 def test_csv_path_reads_what_the_block_parse_refuses(tmp_path, body):
     read_rows = mock.Mock(wraps=ingest._read_rows)
