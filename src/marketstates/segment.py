@@ -199,13 +199,13 @@ def solve_path(scores: ScoreMatrix, gamma: float) -> StatePath:
     integer-valued scores are exact either way. Memory is
     O(T * K + K^2 * T^(2/3) + K^3 * T^(1/3)), with no T x K x K array.
     """
-    if not np.isfinite(gamma) or gamma < 0.0:
+    gamma = float(gamma)  # float64 arithmetic whatever real type gamma has
+    if not math.isfinite(gamma) or gamma < 0.0:
         raise ValueError(f"gamma must be finite and >= 0, got {gamma}")
     if not isinstance(scores, ScoreMatrix):
         scores = ScoreMatrix(np.asarray(scores, dtype=float))
     v = scores.values
     t_len, k_len = v.shape
-    penalty = float(gamma)  # float64 arithmetic whatever type gamma has
 
     # padded day p = b * w + i is offset i of block b; s[i, k, b] is its
     # score in state k, state-major so that a day's step spans every block
@@ -230,7 +230,7 @@ def solve_path(scores: ScoreMatrix, gamma: float) -> StatePath:
     top = np.empty((k_len, inner))
     for i in range(w):
         np.maximum.reduce(block, axis=1, out=top)
-        top -= penalty
+        top -= gamma
         np.maximum(block, top[:, None, :], out=block)
         block += s[i, :, :inner]
 
@@ -255,7 +255,7 @@ def solve_path(scores: ScoreMatrix, gamma: float) -> StatePath:
     for i in range(w):
         best[:, i] = value.argmax(axis=0)
         switch = np.maximum.reduce(value, axis=0)
-        switch -= penalty
+        switch -= gamma
         np.less(value, switch, out=stuck[:, i].T)
         np.maximum(value, switch, out=value)
         value += s[i]
@@ -333,7 +333,7 @@ def estimate_cluster(
 def _starts(t_len: int, config: ClusteringConfig, min_size: int):
     """The equal-block labels, then config.restarts random contiguous ones."""
     k = config.n_clusters
-    yield np.minimum(np.arange(t_len) * k // t_len, k - 1).astype(int)
+    yield np.arange(t_len) * k // t_len
     rng = np.random.default_rng(config.seed)
     for _ in range(config.restarts):
         lengths = min_size + rng.multinomial(t_len - k * min_size, np.full(k, 1.0 / k))

@@ -1,4 +1,4 @@
-"""Seeded synthetic panels shared by the unit and acceptance tests.
+"""Seeded synthetic panels and models shared by the unit and acceptance tests.
 
 The three-regime panel interleaves distinct factor structures (half-blocks,
 a global factor, even/odd blocks) so every regime is poorly explained by
@@ -11,7 +11,9 @@ from datetime import date, timedelta
 
 import numpy as np
 
+from marketstates.ifn import build_tmfg, logo_precision
 from marketstates.ingest import PricePanel, ReturnsPanel
+from marketstates.segment import ClusterModel
 
 N_ASSETS = 10
 
@@ -27,6 +29,15 @@ def block_equicorr(n, blocks, vols, rho):
 
 def _dates(count, start=date(2015, 1, 1)):
     return tuple((start + timedelta(days=i)).isoformat() for i in range(count))
+
+
+def returns_panel(values, start=date(2015, 1, 1)):
+    """The T x n values as a returns panel of daily dates from start and
+    assets A0, A1, ..."""
+    t_len, n = np.shape(values)
+    return ReturnsPanel(
+        dates=_dates(t_len, start), assets=tuple(f"A{i}" for i in range(n)), values=values
+    )
 
 
 def three_regime_specs(n=N_ASSETS):
@@ -48,13 +59,7 @@ def three_regime_panel(seed=0, t_len=600, n=N_ASSETS):
         rng.multivariate_normal(np.full(n, mu), cov, size=per)
         for mu, cov in three_regime_specs(n)
     ]
-    values = np.vstack(segments)
-    panel = ReturnsPanel(
-        dates=_dates(values.shape[0]),
-        assets=tuple(f"A{i}" for i in range(n)),
-        values=values,
-    )
-    return panel, np.repeat(np.arange(3), per)
+    return returns_panel(np.vstack(segments)), np.repeat(np.arange(3), per)
 
 
 def two_regime_panel(seed=3, per=150, n=8):
@@ -66,12 +71,7 @@ def two_regime_panel(seed=3, per=150, n=8):
 
     bull = rng.multivariate_normal(np.full(n, 0.008), equicorr(0.010, 0.2), size=per)
     crisis = rng.multivariate_normal(np.full(n, -0.020), equicorr(0.045, 0.8), size=per)
-    values = np.vstack([bull, crisis])
-    panel = ReturnsPanel(
-        dates=_dates(2 * per, start=date(2019, 1, 1)),
-        assets=tuple(f"A{i}" for i in range(n)),
-        values=values,
-    )
+    panel = returns_panel(np.vstack([bull, crisis]), start=date(2019, 1, 1))
     return panel, np.repeat(np.array([0, 1]), per)
 
 
@@ -104,10 +104,7 @@ def block_regime_panel(seed=6, t_len=1200, n=40, mean_segment=100):
         factors = rng.normal(size=(days.size, blocks))
         shock = np.sqrt(rho) * factors[:, member] + np.sqrt(1.0 - rho) * rng.normal(size=(days.size, n))
         values[days] = (drift + vol * shock) * scale
-    panel = ReturnsPanel(
-        dates=_dates(t_len), assets=tuple(f"A{i}" for i in range(n)), values=values
-    )
-    return panel, truth
+    return returns_panel(values), truth
 
 
 def block_similarity(rng, n, blocks=4, rho=0.5, t_len=500):
@@ -126,9 +123,8 @@ def rising_volatility_panel(seed=0, t_len=600, n=N_ASSETS):
     No regime boundary is sharp, so a fit's states hold uneven day counts.
     """
     rng = np.random.default_rng(seed)
-    values = 0.01 * rng.normal(size=(t_len, n)) * np.linspace(0.5, 2.0, t_len)[:, None]
-    return ReturnsPanel(
-        dates=_dates(t_len), assets=tuple(f"A{i}" for i in range(n)), values=values
+    return returns_panel(
+        0.01 * rng.normal(size=(t_len, n)) * np.linspace(0.5, 2.0, t_len)[:, None]
     )
 
 
@@ -184,3 +180,16 @@ def random_similarity(rng, n):
 def random_spd(rng, n, strength=0.5):
     a = rng.normal(size=(n, 2 * n))
     return a @ a.T / (2 * n) + strength * np.eye(n)
+
+
+def random_model(rng, n, label=0):
+    """A state model on the TMFG of a random similarity, with a random mean
+    and the LoGo precision of a random covariance, drawn in that order."""
+    graph = build_tmfg(random_similarity(rng, n))
+    return ClusterModel(
+        label=label,
+        mu=rng.normal(size=n),
+        precision=logo_precision(random_spd(rng, n), graph),
+        graph=graph,
+        member_count=0,
+    )

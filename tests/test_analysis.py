@@ -13,30 +13,7 @@ from marketstates.analysis import (
     suggest_ratio_states,
 )
 from marketstates.errors import EstimationError
-from marketstates.ifn import build_tmfg, logo_precision
-from marketstates.ingest import ReturnsPanel
 from marketstates.segment import ClusteringConfig, ClusterModel, ScoreMatrix, StatePath, fit
-
-
-def _panel(values):
-    values = np.asarray(values, dtype=float)
-    t_len, n = values.shape
-    dates = tuple(
-        f"{2000 + i // 360:04d}-{1 + (i // 30) % 12:02d}-{1 + i % 30:02d}"
-        for i in range(t_len)
-    )
-    return ReturnsPanel(dates=dates, assets=tuple(f"a{i}" for i in range(n)), values=values)
-
-
-def _model(rng, n, label):
-    graph = build_tmfg(panels.random_similarity(rng, n))
-    return ClusterModel(
-        label=label,
-        mu=rng.normal(size=n),
-        precision=logo_precision(panels.random_spd(rng, n), graph),
-        graph=graph,
-        member_count=0,
-    )
 
 
 def _path(labels):
@@ -46,17 +23,17 @@ def _path(labels):
 
 def test_identical_models_give_zero_ratio(rng):
     n = 6
-    model = _model(rng, n, 0)
+    model = panels.random_model(rng, n, 0)
     twin = ClusterModel(1, model.mu, model.precision, model.graph, 0)
-    panel = _panel(rng.normal(size=(30, n)))
+    panel = panels.returns_panel(rng.normal(size=(30, n)))
     series = likelihood_ratio(panel, [model, twin], 0, 1)
     assert np.array_equal(series.values, np.zeros(30))
 
 
 def test_swap_antisymmetry_is_exact(rng):
     n = 7
-    models = [_model(rng, n, k) for k in range(3)]
-    panel = _panel(rng.normal(size=(50, n)))
+    models = [panels.random_model(rng, n, k) for k in range(3)]
+    panel = panels.returns_panel(rng.normal(size=(50, n)))
     forward = likelihood_ratio(panel, models, 0, 2)
     backward = likelihood_ratio(panel, models, 2, 0)
     assert np.array_equal(forward.values, -backward.values)
@@ -66,8 +43,8 @@ def test_swap_antisymmetry_is_exact(rng):
 
 def test_ratio_chain_consistency(rng):
     n = 5
-    models = [_model(rng, n, k) for k in range(3)]
-    panel = _panel(rng.normal(size=(40, n)))
+    models = [panels.random_model(rng, n, k) for k in range(3)]
+    panel = panels.returns_panel(rng.normal(size=(40, n)))
     ab = likelihood_ratio(panel, models, 0, 1).values
     bc = likelihood_ratio(panel, models, 1, 2).values
     ac = likelihood_ratio(panel, models, 0, 2).values
@@ -84,8 +61,8 @@ def test_ratio_signs_on_two_regimes(two_regime):
 
 
 def test_ratio_rejects_bad_states(rng):
-    models = [_model(rng, 5, k) for k in range(2)]
-    panel = _panel(rng.normal(size=(10, 5)))
+    models = [panels.random_model(rng, 5, k) for k in range(2)]
+    panel = panels.returns_panel(rng.normal(size=(10, 5)))
     with pytest.raises(ValueError):
         likelihood_ratio(panel, models, 0, 0)
     with pytest.raises(ValueError):
@@ -139,8 +116,8 @@ def test_ratio_from_the_fit_scores_after_a_rejected_refit(three_regime, monkeypa
 
 
 def test_ratio_rejects_scores_of_another_shape(rng):
-    models = [_model(rng, 5, k) for k in range(3)]
-    panel = _panel(rng.normal(size=(10, 5)))
+    models = [panels.random_model(rng, 5, k) for k in range(3)]
+    panel = panels.returns_panel(rng.normal(size=(10, 5)))
     for shape in ((10, 2), (9, 3), (10, 4)):
         with pytest.raises(ValueError, match="shape"):
             likelihood_ratio(panel, models, 0, 1, scores=ScoreMatrix(np.zeros(shape)))
@@ -150,18 +127,18 @@ def test_suggest_ratio_states_orders_by_mean_return(rng):
     # state 1 carries the losses, state 0 the gains
     values = np.vstack([np.full((20, 4), 0.01), np.full((20, 4), -0.02)])
     values += 1e-4 * rng.normal(size=values.shape)
-    panel = _panel(values)
+    panel = panels.returns_panel(values)
     path = _path([0] * 20 + [1] * 20)
     assert suggest_ratio_states(path, panel) == (1, 0)
 
 
 def test_suggest_ratio_states_needs_two_states(rng):
-    panel = _panel(rng.normal(size=(10, 4)))
+    panel = panels.returns_panel(rng.normal(size=(10, 4)))
     with pytest.raises(ValueError):
         suggest_ratio_states(_path([0] * 10), panel)
     # each day's returns cancel in pairs, so three states share mean return 0
     a, b = rng.normal(size=(2, 30))
-    panel = _panel(np.column_stack([a, -a, b, -b]))
+    panel = panels.returns_panel(np.column_stack([a, -a, b, -b]))
     with pytest.raises(ValueError, match="different mean return"):
         suggest_ratio_states(_path([0, 1, 2] * 10), panel)
 
@@ -172,11 +149,11 @@ def test_suggest_ratio_states_matches_numpy_means(rng):
     labels[:3] = [0, 1, 2]  # every state present
     pooled = {s: values[labels == s].mean(axis=1).mean() for s in (0, 1, 2)}
     expected = (min(pooled, key=pooled.get), max(pooled, key=pooled.get))
-    assert suggest_ratio_states(_path(labels), _panel(values)) == expected
+    assert suggest_ratio_states(_path(labels), panels.returns_panel(values)) == expected
 
 
 def test_suggest_ratio_states_rejects_length_mismatch(rng):
-    panel = _panel(rng.normal(size=(10, 4)))
+    panel = panels.returns_panel(rng.normal(size=(10, 4)))
     with pytest.raises(ValueError, match="path length 9"):
         suggest_ratio_states(_path([0] * 5 + [1] * 4), panel)
 

@@ -508,15 +508,8 @@ def test_sweep_rejects_empty_list(price_csv, tmp_path, capsys):
     _one_stderr_line(capsys)
 
 
-def test_sweep_loads_the_panel_once(price_csv, tmp_path, monkeypatch):
-    calls = []
-    load = cli.load_price_panel
-
-    def counting_load(path, *args, **kwargs):
-        calls.append(path)
-        return load(path, *args, **kwargs)
-
-    monkeypatch.setattr(cli, "load_price_panel", counting_load)
+def test_sweep_loads_the_panel_once(price_csv, tmp_path, spy):
+    calls = spy(cli, "load_price_panel", lambda path: path)
     code = _run(
         ["--input", price_csv, "--output", tmp_path / "once",
          "--sweep-k", "2,3", "--sweep-gamma", "10,100", "--max-iter", 2]
@@ -525,15 +518,8 @@ def test_sweep_loads_the_panel_once(price_csv, tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
-def test_sweep_standardizes_the_panel_once(price_csv, tmp_path, monkeypatch):
-    calls = []
-    standardize = cli.standardize_returns
-
-    def counting_standardize(returns):
-        calls.append(returns.values.shape)
-        return standardize(returns)
-
-    monkeypatch.setattr(cli, "standardize_returns", counting_standardize)
+def test_sweep_standardizes_the_panel_once(price_csv, tmp_path, spy):
+    calls = spy(cli, "standardize_returns", lambda returns: returns.values.shape)
     out = tmp_path / "zsweep"
     code = _run(
         ["--input", price_csv, "--output", out, "--standardize", "--sweep-k", "2,3",
@@ -572,36 +558,15 @@ def test_standardize_on_a_flat_column_fails_before_any_fit(
     assert report["error_kind"] == "data" and report["config"]["standardize"] is True
 
 
-def test_sweep_estimates_each_state_once(price_csv, tmp_path, monkeypatch):
+def test_sweep_estimates_each_state_once(price_csv, tmp_path, spy):
     # with one iteration each cell fits its equal-block states, so cells of
     # equal K share all of them: 2 + 3 distinct states, not 2 * (2 + 3)
-    calls = []
-    build = segment.build_tmfg
-
-    def counting_build(similarity):
-        calls.append(similarity.shape)
-        return build(similarity)
-
-    monkeypatch.setattr(segment, "build_tmfg", counting_build)
+    calls = spy(segment, "build_tmfg", lambda similarity: similarity.shape)
     # and scored once; the ratio takes its columns from the fit's scores
-    scored = []
-    score = segment.score_states
-
-    def counting_score(returns, models, mode="likelihood"):
-        scored.append(len(models))
-        return score(returns, models, mode)
-
-    monkeypatch.setattr(segment, "score_states", counting_score)
+    scored = spy(segment, "score_states", lambda returns, models, *mode: len(models))
     # one memo serves the whole sweep, one entry per start, and a single
-    # fit gets none
-    held = []
-    fit = cli.fit
-
-    def recording_fit(returns, config, *, memo):
-        held.append(None if memo is None else len(memo))
-        return fit(returns, config, memo=memo)
-
-    monkeypatch.setattr(cli, "fit", recording_fit)
+    # fit gets none; its size is taken when the fit is called
+    held = spy(cli, "fit", lambda returns, config, *, memo: None if memo is None else len(memo))
     out = tmp_path / "memo"
     code = _run(
         ["--input", price_csv, "--output", out, "--sweep-k", "2,3",
@@ -621,17 +586,10 @@ def test_sweep_estimates_each_state_once(price_csv, tmp_path, monkeypatch):
     assert held == [0, 1, 1, 2, None]
 
 
-def test_sweep_matches_each_pair_of_cells_once(price_csv, tmp_path, monkeypatch):
+def test_sweep_matches_each_pair_of_cells_once(price_csv, tmp_path, spy):
     # agreement is symmetric: 6 cells take 21 matchings, the diagonal
     # included, not one per ordered pair (36)
-    calls = []
-    agree = cli.label_agreement
-
-    def counting_agreement(labels_a, labels_b):
-        calls.append(None)
-        return agree(labels_a, labels_b)
-
-    monkeypatch.setattr(cli, "label_agreement", counting_agreement)
+    calls = spy(cli, "label_agreement", lambda labels_a, labels_b: None)
     out = tmp_path / "pairs"
     code = _run(
         ["--input", price_csv, "--output", out, "--sweep-k", "2,3,4",
@@ -646,6 +604,7 @@ def test_sweep_matches_each_pair_of_cells_once(price_csv, tmp_path, monkeypatch)
                    dtype=int)
         for cell in sweep["cells"]
     ]
+    agree = analysis.label_agreement
     assert sweep["agreement"] == [[agree(a, b) for b in labels] for a in labels]
 
 

@@ -417,15 +417,8 @@ def test_logo_bitwise_matches_loop_oracle_at_the_ridge_limit(rng, eigenvalues, r
             assert count is None if eigenvalues[0] <= 0.0 else (count > 0) == ridged
 
 
-def test_well_conditioned_blocks_take_no_svd(rng, monkeypatch):
-    calls = []
-    cond = np.linalg.cond
-
-    def counted(blocks):
-        calls.append(len(blocks))
-        return cond(blocks)
-
-    monkeypatch.setattr(np.linalg, "cond", counted)
+def test_well_conditioned_blocks_take_no_svd(rng, spy):
+    calls = spy(np.linalg, "cond", len)
     for n in (4, 30, 120):
         g = build_tmfg(panels.random_similarity(rng, n))
         logo_precision(panels.random_spd(rng, n), g)

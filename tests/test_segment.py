@@ -2,6 +2,7 @@ import itertools
 import math
 import tracemalloc
 from dataclasses import asdict, replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ import panels
 from marketstates import segment
 from marketstates.errors import ConfigError, EstimationError, FitError
 from marketstates.ifn import build_tmfg, logo_precision
-from marketstates.ingest import ReturnsPanel, standardize_returns
+from marketstates.ingest import standardize_returns
 from marketstates.segment import (
     ClusteringConfig,
     ClusterModel,
@@ -23,31 +24,6 @@ from marketstates.segment import (
     score_states,
     solve_path,
 )
-
-
-def _panel(values):
-    values = np.asarray(values, dtype=float)
-    t_len, n = values.shape
-    dates = tuple(
-        f"{2000 + i // 360:04d}-{1 + (i // 30) % 12:02d}-{1 + i % 30:02d}"
-        for i in range(t_len)
-    )
-    return ReturnsPanel(dates=dates, assets=tuple(f"a{i}" for i in range(n)), values=values)
-
-
-def _model(rng, n, label=0, mu=None, cov=None):
-    if cov is None:
-        cov = panels.random_spd(rng, n)
-    if mu is None:
-        mu = rng.normal(size=n)
-    graph = build_tmfg(panels.random_similarity(rng, n))
-    return ClusterModel(
-        label=label,
-        mu=np.asarray(mu, dtype=float),
-        precision=logo_precision(cov, graph),
-        graph=graph,
-        member_count=0,
-    )
 
 
 def brute_force_path(values, gamma):
@@ -141,6 +117,12 @@ def test_config_accepts_numpy_integers(three_regime):
     _assert_same_fit(
         fit(panel, ClusteringConfig(**numpy_settings)), fit(panel, ClusteringConfig(**settings))
     )
+    # a gamma of any real type fits as its float
+    for gamma in (np.float16(2.7), Fraction(1, 3)):
+        _assert_same_fit(
+            fit(panel, ClusteringConfig(**settings, gamma=gamma)),
+            fit(panel, ClusteringConfig(**settings, gamma=float(gamma))),
+        )
 
 
 def test_config_rejects_negative_seed(three_regime):
@@ -160,8 +142,8 @@ def test_score_at_mean_with_identity_precision(rng):
     graph = build_tmfg(panels.random_similarity(rng, n))
     mu = rng.normal(size=n)
     model_a = ClusterModel(0, mu, logo_precision(np.eye(n), graph), graph, 0)
-    model_b = _model(rng, n, label=1)
-    panel = _panel(np.tile(mu, (3, 1)))
+    model_b = panels.random_model(rng, n, label=1)
+    panel = panels.returns_panel(np.tile(mu, (3, 1)))
     scores = score_states(panel, [model_a, model_b], "likelihood")
     # quadratic term vanishes at the mean and log|I| = 0
     assert np.allclose(scores.values[:, 0], 0.0, atol=1e-12)
@@ -171,8 +153,8 @@ def test_score_at_mean_with_identity_precision(rng):
 
 def test_score_matches_dense_formula(rng):
     t_len, n = 40, 7
-    panel = _panel(rng.normal(size=(t_len, n)))
-    models = [_model(rng, n, label=k) for k in range(3)]
+    panel = panels.returns_panel(rng.normal(size=(t_len, n)))
+    models = [panels.random_model(rng, n, label=k) for k in range(3)]
     scores = score_states(panel, models, "likelihood")
     for k, model in enumerate(models):
         dense = model.precision.matrix.toarray()
@@ -192,8 +174,8 @@ def test_dense_scores_match_csr_product(rng):
     # scoring multiplies by a dense J; the CSR product sums each row in
     # another order, so the two agree to rounding only
     for t_len, n in ((50, 4), (40, 12), (30, 60)):
-        panel = _panel(rng.normal(size=(t_len, n)))
-        models = [_model(rng, n, label=k) for k in range(3)]
+        panel = panels.returns_panel(rng.normal(size=(t_len, n)))
+        models = [panels.random_model(rng, n, label=k) for k in range(3)]
         scores = score_states(panel, models, "likelihood")
         for k, model in enumerate(models):
             d = panel.values - model.mu
@@ -204,8 +186,8 @@ def test_dense_scores_match_csr_product(rng):
 
 def test_identical_models_identical_columns(rng):
     n = 5
-    model = _model(rng, n)
-    panel = _panel(rng.normal(size=(20, n)))
+    model = panels.random_model(rng, n)
+    panel = panels.returns_panel(rng.normal(size=(20, n)))
     scores = score_states(panel, [model, model], "likelihood")
     assert np.array_equal(scores.values[:, 0], scores.values[:, 1])
 
@@ -213,8 +195,8 @@ def test_identical_models_identical_columns(rng):
 def test_one_model_scores_as_its_column_of_many(rng):
     # a refit scores only the states it re-estimated, so a column must not
     # depend on the other models in the call
-    panel = _panel(rng.normal(size=(60, 9)))
-    models = [_model(rng, 9, label=k) for k in range(4)]
+    panel = panels.returns_panel(rng.normal(size=(60, 9)))
+    models = [panels.random_model(rng, 9, label=k) for k in range(4)]
     together = score_states(panel, models).values
     for k, model in enumerate(models):
         alone = score_states(panel, [model]).values
@@ -242,12 +224,12 @@ def test_score_matrix_rejects_a_1d_or_empty_matrix(values):
 
 
 def test_score_states_rejects_a_model_of_another_width(rng):
-    panel = _panel(rng.normal(size=(20, 6)))
-    narrow = _model(rng, 5, label=1)
-    short_mean = replace(_model(rng, 6, label=1), mu=np.zeros(5))
+    panel = panels.returns_panel(rng.normal(size=(20, 6)))
+    narrow = panels.random_model(rng, 5, label=1)
+    short_mean = replace(panels.random_model(rng, 6, label=1), mu=np.zeros(5))
     for other in (narrow, short_mean):
         with pytest.raises(ValueError, match="state 1 dimension does not match panel width 6"):
-            score_states(panel, [_model(rng, 6), other])
+            score_states(panel, [panels.random_model(rng, 6), other])
 
 
 # --- path solving
@@ -280,12 +262,13 @@ def test_matches_brute_force(rng):
         assert path.objective == pytest.approx(recomputed, abs=1e-12)
 
 
-GAMMAS = (0.0, 0.4, 4.0, 50.0, 1e6)
+# the last two are read as their floats, objective included
+GAMMAS = (0.0, 0.4, 4.0, 50.0, 1e6, np.float16(2.7), Fraction(1, 3))
 
 
 def _assert_same_path_as_reference(values, gamma):
     path = solve_path(values, gamma)
-    labels, objective = reference_path(values, gamma)
+    labels, objective = reference_path(values, float(gamma))
     assert np.array_equal(path.labels, labels)
     assert path.labels.dtype == labels.dtype
     assert path.switches == np.count_nonzero(np.diff(labels))
@@ -434,7 +417,7 @@ def test_estimate_recovers_moments(rng):
     n, m = 5, 10_000
     x = rng.multivariate_normal(np.zeros(n), np.eye(n), size=m)
     config = ClusteringConfig(n_clusters=2, seed=0)
-    model = estimate_cluster(_panel(x), np.arange(m), config, label=1)
+    model = estimate_cluster(panels.returns_panel(x), np.arange(m), config, label=1)
     assert model.label == 1
     assert model.member_count == m
     assert np.allclose(model.mu, 0.0, atol=0.05)
@@ -443,7 +426,7 @@ def test_estimate_recovers_moments(rng):
 
 
 def test_estimate_rejects_undersized(rng):
-    panel = _panel(rng.normal(size=(30, 6)))
+    panel = panels.returns_panel(rng.normal(size=(30, 6)))
     config = ClusteringConfig(n_clusters=2)
     with pytest.raises(EstimationError, match="at least 7"):
         estimate_cluster(panel, np.arange(5), config)
@@ -469,15 +452,16 @@ def test_estimate_rejects_bad_member_indices(three_regime, members):
 def test_estimate_rejects_constant_column(rng):
     values = rng.normal(size=(40, 6))
     values[:, 2] = 1.25
+    panel = panels.returns_panel(values)
     with pytest.raises(EstimationError, match="zero variance"):
-        estimate_cluster(_panel(values), np.arange(40), ClusteringConfig(n_clusters=2))
+        estimate_cluster(panel, np.arange(40), ClusteringConfig(n_clusters=2))
 
 
 def test_estimate_rejects_a_mistyped_similarity_mode(rng):
     # estimate_cluster is public, so it checks the config that fit checks
     config = ClusteringConfig(n_clusters=2, similarity_mode="Squared")
     with pytest.raises(ConfigError, match="similarity_mode"):
-        estimate_cluster(_panel(rng.normal(size=(40, 6))), np.arange(40), config)
+        estimate_cluster(panels.returns_panel(rng.normal(size=(40, 6))), np.arange(40), config)
 
 
 @pytest.mark.parametrize("mode", segment.SIMILARITY_MODES)
@@ -547,7 +531,8 @@ def test_fit_single_regime_stays_put(rng):
     n = 6
     cov = panels.random_spd(rng, n, strength=0.2) * 1e-4
     values = rng.multivariate_normal(np.zeros(n), cov, size=240)
-    _, path, _ = fit(_panel(values), ClusteringConfig(n_clusters=2, gamma=100.0, seed=0))
+    config = ClusteringConfig(n_clusters=2, gamma=100.0, seed=0)
+    _, path, _ = fit(panels.returns_panel(values), config)
     assert path.switches <= 2
 
 
@@ -567,17 +552,33 @@ def test_fit_restarts_only_improve(three_regime):
     assert p5.objective >= p0.objective
 
 
+@pytest.mark.parametrize("t_len, k, min_size", [(600, 3, 11), (601, 4, 95), (1000, 6, 7)])
+def test_starts_are_equal_blocks_then_seeded_contiguous_partitions(t_len, k, min_size):
+    # K blocks of equal length give or take a day, then restarts contiguous
+    # partitions of at least min_size days each, drawn from seed
+    config = ClusteringConfig(n_clusters=k, seed=3, restarts=4)
+    first, *drawn = segment._starts(t_len, config, min_size)
+    assert np.array_equal(first, np.arange(t_len) * k // t_len)
+    assert len(drawn) == config.restarts
+    for labels in drawn:
+        sizes = np.bincount(labels, minlength=k)
+        assert np.array_equal(labels, np.repeat(np.arange(k), sizes))
+        assert sizes.sum() == t_len and sizes.min() >= min_size
+    again = list(segment._starts(t_len, config, min_size))[1:]
+    other = list(segment._starts(t_len, replace(config, seed=4), min_size))[1:]
+    assert all(np.array_equal(a, b) for a, b in zip(drawn, again))
+    assert not any(np.array_equal(a, b) for a, b in zip(drawn, other))
+
+
 def test_fit_rejects_infeasible(rng):
     # 4 states x 6 minimum points > 20 available rows
-    panel = _panel(rng.normal(size=(20, 5)))
+    panel = panels.returns_panel(rng.normal(size=(20, 5)))
     with pytest.raises(ConfigError, match="infeasible"):
         fit(panel, ClusteringConfig(n_clusters=4, gamma=1.0))
 
 
 def test_fit_rejects_few_assets(rng):
-    values = rng.normal(size=(100, 3))
-    dates = tuple(f"2001-{1 + i // 28:02d}-{1 + i % 28:02d}" for i in range(100))
-    panel = ReturnsPanel(dates=dates, assets=("a", "b", "c"), values=values)
+    panel = panels.returns_panel(rng.normal(size=(100, 3)))
     with pytest.raises(ConfigError, match="at least 4"):
         fit(panel, ClusteringConfig(n_clusters=2))
 
@@ -586,7 +587,7 @@ def test_fit_degenerate_panel_fails_cleanly():
     values = np.zeros((60, 5))
     values[:, 0] = np.linspace(-1, 1, 60)  # only one asset moves
     with pytest.raises((FitError, EstimationError)):
-        fit(_panel(values), ClusteringConfig(n_clusters=2, gamma=1.0, seed=0))
+        fit(panels.returns_panel(values), ClusteringConfig(n_clusters=2, gamma=1.0, seed=0))
 
 
 def test_monotone_improvement_between_iterations(three_regime):
@@ -680,12 +681,14 @@ def _shift(model, returns, members, sigmas):
 
 
 def test_undersized_state_is_repaired_at_the_refit(three_regime, monkeypatch):
-    # four states on three regimes: the first assignment empties state 1,
-    # which keeps its model from the first iteration and is not rescored
+    # four equal blocks on three regimes: the first assignment empties
+    # state 1, which keeps its model from the first iteration and is not
+    # rescored
     panel, _ = three_regime
     config = ClusteringConfig(n_clusters=4, gamma=100.0, seed=0, max_iterations=2)
+    labels0 = np.repeat(np.arange(4), 600 // 4)
     rounds = _record_rounds(monkeypatch)
-    models, path, report = fit(panel, config)
+    models, path, report = segment._fit_once(panel, config, labels0, None)
     _, refit = rounds
     assert _failed(refit) == [(1, 0)]
     assert report.repairs == 1
@@ -806,6 +809,7 @@ def test_rejected_days_that_recur_reuse_the_kept_model(three_regime, monkeypatch
     # model without a new estimate or a second count in repairs
     panel, _ = three_regime
     config = ClusteringConfig(n_clusters=4, gamma=0.0, seed=0)
+    labels0 = np.repeat(np.arange(4), 600 // 4)
 
     def worse_for_state_0(round_, model, returns, members):
         if round_ > 0 and model.label == 0:
@@ -813,13 +817,13 @@ def test_rejected_days_that_recur_reuse_the_kept_model(three_regime, monkeypatch
         return model
 
     rounds = _record_rounds(monkeypatch, worse_for_state_0)
-    models, _, report = fit(panel, config)
+    models, _, report = segment._fit_once(panel, config, labels0, None)
     assert report.converged
     refits = rounds[1:]
     worsened = sum(_estimated(r).count(0) for r in refits)
     assert report.repairs == worsened > 0
     assert models[0].mu is _start_models(rounds)[0].mu
-    changed = _changed_states(rounds, np.repeat(np.arange(4), 150), 4)
+    changed = _changed_states(rounds, labels0, 4)
     recurring = 0
     for before, after, moved in zip(refits, refits[1:], changed[1:]):
         if 0 in _estimated(before) and 0 not in moved:
@@ -853,6 +857,7 @@ def test_state_that_stays_empty_counts_once_in_repairs(monkeypatch):
     # move, and its one change of days is its one repair
     panel, _ = panels.three_regime_panel(seed=1)
     config = ClusteringConfig(n_clusters=4, gamma=5.0, seed=0)
+    labels0 = np.repeat(np.arange(4), 600 // 4)
 
     def far_start_for_state_3(round_, model, returns, members):
         if round_ == 0 and model.label == 3:
@@ -860,7 +865,7 @@ def test_state_that_stays_empty_counts_once_in_repairs(monkeypatch):
         return model
 
     rounds = _record_rounds(monkeypatch, far_start_for_state_3)
-    _, path, report = fit(panel, config)
+    _, path, report = segment._fit_once(panel, config, labels0, None)
     assert report.converged and report.iterations >= 3
     assert all(not np.any(r["labels"] == 3) for r in rounds)
     assert [_failed(r) for r in rounds[1:]] == [[(3, 0)]] + [[]] * (len(rounds) - 2)
@@ -879,19 +884,6 @@ def test_kept_states_end_a_cycle():
 
 
 # --- state-estimate memo
-
-
-def _count_estimates(monkeypatch):
-    """Record the member set of every estimate_cluster call made by fit."""
-    calls = []
-    estimate = segment.estimate_cluster
-
-    def counting(returns, member_indices, config, label=0):
-        calls.append(np.asarray(member_indices).tobytes())
-        return estimate(returns, member_indices, config, label=label)
-
-    monkeypatch.setattr(segment, "estimate_cluster", counting)
-    return calls
 
 
 def _assert_same_fit(a, b):
@@ -924,17 +916,17 @@ def test_shared_memo_gives_the_same_fit(three_regime):
         _assert_same_fit(fit(panel, config), fit(panel, config, memo=memo))
 
 
-def test_memo_keeps_only_the_starting_states(three_regime, monkeypatch):
+def test_memo_keeps_only_the_starting_states(three_regime, spy):
     # restarts share the memo, one entry per start; refit states stay out
     # of it, so what a memo holds does not grow with the iterations
     panel, _ = three_regime
     config = ClusteringConfig(n_clusters=3, gamma=100.0, seed=0, restarts=3)
-    calls = _count_estimates(monkeypatch)
+    calls = spy(segment, "estimate_cluster", lambda returns, days, *rest, **kw: len(days))
+    starts = spy(segment, "_fit_once", lambda returns, config, labels, memo: labels)
     memo = {}
     fit(panel, config, memo=memo)
-    assert len(memo) == 1 + 3
-    blocks = np.repeat(np.arange(3), 200)
-    assert (blocks.tobytes(), "signed") in memo
+    assert len(memo) == len(starts) == 1 + 3
+    assert set(memo) == {(labels.tobytes(), "signed") for labels in starts}
     assert len(calls) > 3 * len(memo)  # the refits estimated states too
     # a second fit of the same panel estimates only its refit states
     first = list(calls)
@@ -947,11 +939,16 @@ def test_memo_hit_is_not_changed_by_the_fit_that_made_it(three_regime):
     # refits write score columns in place; a fit that takes its start from
     # the memo must not see the columns an earlier fit refit
     panel, _ = three_regime
+    labels0 = np.repeat(np.arange(4), 600 // 4)
     memo = {}
-    _, _, warm = fit(panel, ClusteringConfig(n_clusters=4, gamma=0.0, seed=0), memo=memo)
+    warm_config = ClusteringConfig(n_clusters=4, gamma=0.0, seed=0)
+    _, _, warm = segment._fit_once(panel, warm_config, labels0, memo)
     assert warm.iterations == 7
     config = ClusteringConfig(n_clusters=4, gamma=100.0, seed=0, max_iterations=1)
-    _assert_same_fit(fit(panel, config), fit(panel, config, memo=memo))
+    _assert_same_fit(
+        segment._fit_once(panel, config, labels0, None),
+        segment._fit_once(panel, config, labels0, memo),
+    )
 
 
 def test_refit_reuses_the_states_of_the_iterate_before(three_regime, monkeypatch):
