@@ -29,11 +29,28 @@ from .ingest import ReturnsPanel
 _SIMILARITY = {"signed": lambda corr: corr, "absolute": np.abs, "squared": np.square}
 SIMILARITY_MODES = tuple(_SIMILARITY)
 
+# the fewest days whose sample covariance gives a 4-clique block full rank
+MIN_CLUSTER_SIZE = MIN_VERTICES + 1
+
 
 def _is_int(value) -> bool:
     # numpy integers count; bool is Integral, but True is no iteration
     # budget or cluster count (np.bool_ is not Integral)
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _gamma_float(gamma) -> float:
+    """gamma as a float64; ConfigError unless it is a real number other than
+    a bool (np.bool_ is not Real) whose float is finite and >= 0."""
+    if isinstance(gamma, bool) or not isinstance(gamma, numbers.Real):
+        raise ConfigError(f"gamma must be a real number other than a bool, got {gamma!r}")
+    try:
+        value = float(gamma)
+    except OverflowError:  # str() may refuse so many digits
+        raise ConfigError("gamma must be finite and >= 0, got a number past the float range") from None
+    if not 0.0 <= value < math.inf:  # NaN fails both comparisons
+        raise ConfigError(f"gamma must be finite and >= 0, got {gamma}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -60,10 +77,7 @@ class ClusteringConfig:
     def validate(self) -> None:
         if not _is_int(self.n_clusters) or self.n_clusters < 2:
             raise ConfigError(f"n_clusters must be an integer >= 2, got {self.n_clusters}")
-        if isinstance(self.gamma, bool) or not isinstance(self.gamma, numbers.Real):
-            raise ConfigError(f"gamma must be a real number other than a bool, got {self.gamma!r}")
-        if not 0.0 <= self.gamma < np.inf:  # NaN fails both comparisons
-            raise ConfigError(f"gamma must be finite and >= 0, got {self.gamma}")
+        _gamma_float(self.gamma)
         if self.similarity_mode not in SIMILARITY_MODES:
             raise ConfigError(
                 f"similarity_mode must be one of {SIMILARITY_MODES}, got {self.similarity_mode!r}"
@@ -72,17 +86,16 @@ class ClusteringConfig:
             raise ConfigError(f"max_iterations must be a positive integer, got {self.max_iterations}")
         if not _is_int(self.seed) or self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
-        if self.min_cluster_size is not None and (
-            not _is_int(self.min_cluster_size) or self.min_cluster_size < 5
-        ):
-            raise ConfigError(f"min_cluster_size must be an integer >= 5, got {self.min_cluster_size}")
+        size = self.min_cluster_size
+        if size is not None and (not _is_int(size) or size < MIN_CLUSTER_SIZE):
+            raise ConfigError(f"min_cluster_size must be an integer >= {MIN_CLUSTER_SIZE}, got {size}")
         if not _is_int(self.restarts) or self.restarts < 0:
             raise ConfigError(f"restarts must be a non-negative integer, got {self.restarts}")
 
     def resolved_min_cluster_size(self, n_assets: int) -> int:
         if self.min_cluster_size is not None:
             return self.min_cluster_size
-        return max(n_assets + 1, 5)
+        return max(n_assets + 1, MIN_CLUSTER_SIZE)
 
 
 @dataclass
@@ -199,9 +212,7 @@ def solve_path(scores: ScoreMatrix, gamma: float) -> StatePath:
     integer-valued scores are exact either way. Memory is
     O(T * K + K^2 * T^(2/3) + K^3 * T^(1/3)), with no T x K x K array.
     """
-    gamma = float(gamma)  # float64 arithmetic whatever real type gamma has
-    if not math.isfinite(gamma) or gamma < 0.0:
-        raise ValueError(f"gamma must be finite and >= 0, got {gamma}")
+    gamma = _gamma_float(gamma)  # float64 arithmetic whatever real type gamma has
     if not isinstance(scores, ScoreMatrix):
         scores = ScoreMatrix(np.asarray(scores, dtype=float))
     v = scores.values
@@ -307,13 +318,15 @@ def estimate_cluster(
     mu and the covariance are the sample mean/covariance of the member
     rows; the TMFG is rebuilt on the configured similarity of those rows
     and the precision is the LoGo estimate on it. An invalid config
-    raises ConfigError, and member_indices that are not distinct days in
-    [0, T) raise ValueError.
+    raises ConfigError, and member_indices that are not distinct integer
+    days in [0, T) raise ValueError.
     """
     config.validate()
-    idx = np.sort(np.asarray(member_indices, dtype=int))
+    idx = np.sort(np.asarray(member_indices))
     t_len, n = returns.values.shape
-    if idx.size and (idx[0] < 0 or idx[-1] >= t_len or not np.all(np.diff(idx))):
+    if idx.size and (
+        idx.dtype.kind not in "iu" or idx[0] < 0 or idx[-1] >= t_len or not np.all(np.diff(idx))
+    ):
         raise ValueError(f"state {label}: member indices must be distinct days in [0, {t_len})")
     min_size = config.resolved_min_cluster_size(n)
     if idx.size < min_size:

@@ -9,11 +9,6 @@ def three_regime():
     return panels.three_regime_panel(seed=0)
 
 
-@pytest.fixture(scope="session")
-def two_regime():
-    return panels.two_regime_panel(seed=3)
-
-
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)

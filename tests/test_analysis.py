@@ -51,15 +51,6 @@ def test_ratio_chain_consistency(rng):
     assert np.allclose(ab + bc, ac, atol=1e-12)
 
 
-def test_ratio_signs_on_two_regimes(two_regime):
-    panel, truth = two_regime
-    models, path, _ = fit(panel, ClusteringConfig(n_clusters=2, gamma=100.0, seed=0))
-    crisis, bull = suggest_ratio_states(path, panel)
-    series = likelihood_ratio(panel, models, crisis, bull)
-    assert series.values[truth == 1].mean() > 0.0  # crisis block
-    assert series.values[truth == 0].mean() < 0.0  # calm block
-
-
 def test_ratio_rejects_bad_states(rng):
     models = [panels.random_model(rng, 5, k) for k in range(2)]
     panel = panels.returns_panel(rng.normal(size=(10, 5)))

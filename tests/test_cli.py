@@ -211,28 +211,6 @@ def test_explicit_ratio_pair(price_csv, tmp_path):
     assert report["ratio_states"] == [2, 0]
 
 
-def test_cli_runs_are_byte_identical(price_csv, tmp_path):
-    # full process isolation, same as two operators running the tool
-    outs = []
-    for name in ("first", "second"):
-        out = tmp_path / name
-        cmd = [
-            sys.executable, "-m", "marketstates.cli",
-            "--input", str(price_csv), "--output", str(out),
-            "--clusters", "3", "--gamma", "100", "--ratio", "auto", "--seed", "0",
-        ]
-        proc = subprocess.run(cmd, capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        outs.append(out)
-    for name in ("states.csv", "models.json", "ratio.csv"):
-        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
-    # report differs only in the embedded output path
-    a = json.loads((outs[0] / "report.json").read_text())
-    b = json.loads((outs[1] / "report.json").read_text())
-    a["config"]["output"] = b["config"]["output"] = ""
-    assert a == b
-
-
 def test_exit_code_on_bad_config(price_csv, tmp_path, capsys):
     base = ["--input", price_csv, "--output", tmp_path / "x"]
     for extra in (
