@@ -74,27 +74,33 @@ def test_config_defaults():
     assert config.resolved_min_cluster_size(3) == 5  # floor
 
 
+# the one rule of segment._gamma_float, read by validate and solve_path
+BAD_GAMMAS = {
+    "negative": -1.0,
+    "nan": float("nan"),
+    "inf": float("inf"),
+    "bool": True,  # a bool passes numbers.Real but is no penalty
+    "numpy-bool": np.True_,
+    "str-int": "1",
+    "str-float": "0.5",
+    "none": None,
+    "int-past-float": 10**400,  # float() overflows
+    "fraction-past-float": Fraction(10**400, 3),
+    "int-past-str": 10**5000,  # too many digits for str
+}
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [
         {"n_clusters": 1},
         {"n_clusters": 2.5},
-        {"gamma": -1.0},
-        {"gamma": float("nan")},
         {"max_iterations": 2.5},
         {"similarity_mode": "cosine"},
         {"max_iterations": 0},
         {"min_cluster_size": 4},
         {"restarts": -1},
-        {"gamma": float("inf")},
-        {"gamma": True},  # a bool passes numbers.Real but is no penalty
-        {"gamma": "1"},
-        {"gamma": None},
-        {"gamma": "0.5"},
-        {"gamma": np.True_},
-        {"gamma": 10**400},  # float() overflows
-        {"gamma": Fraction(10**400, 3)},
-        {"gamma": 10**5000},  # too many digits for str
+        *({"gamma": gamma} for gamma in BAD_GAMMAS.values()),
     ],
 )
 def test_config_rejects(kwargs):
@@ -395,13 +401,11 @@ def test_solve_path_never_beaten_by_enumeration(values, gamma):
     assert path.objective >= brute_force_path(values, float(gamma)) - 1e-9
 
 
-def test_rejects_bad_gamma():
+@pytest.mark.parametrize("gamma", BAD_GAMMAS.values(), ids=list(BAD_GAMMAS))
+def test_rejects_bad_gamma(gamma):
     # the rule of ClusteringConfig.validate, not whatever float() takes
-    values = np.zeros((4, 2))
-    past_float = (10**400, Fraction(10**400, 3), 10**5000)
-    for gamma in (-1.0, float("nan"), "1", "0.5", True, np.True_, *past_float):
-        with pytest.raises(ConfigError, match="gamma must be"):
-            solve_path(values, gamma)
+    with pytest.raises(ConfigError, match="gamma must be"):
+        solve_path(np.zeros((4, 2)), gamma)
 
 
 # --- estimation
