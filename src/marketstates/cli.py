@@ -112,18 +112,17 @@ def _write_csv(path: Path, header: str, dates, values: np.ndarray) -> None:
 def _models_payload(models, occupancy, assets) -> dict:
     """models.json's content; occupancy[k] is the days state k holds in states.csv.
 
-    The off-diagonal entries are [i, j, value] edges in the sorted (i, j)
-    order that precision.indices() gives them.
+    The diagonal is the stored i == j entries, as every vertex lies in a
+    clique; the off-diagonal entries are [i, j, value] edges in the sorted
+    (i, j) order that precision.indices() gives them.
     """
     states = []
     for model, days in zip(models, occupancy):
         precision = model.precision
         i, j = precision.indices()
         off = i != j
-        diagonal = np.zeros(precision.n)
-        diagonal[i[~off]] = precision.sums[~off]
         states.append({
-            "diagonal": diagonal.tolist(),
+            "diagonal": precision.sums[~off].tolist(),
             "edges": list(zip(i[off].tolist(), j[off].tolist(), precision.sums[off].tolist())),
             "label": int(model.label),
             "log_det": float(precision.log_det),

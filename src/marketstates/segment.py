@@ -347,10 +347,11 @@ def _starts(t_len: int, config: ClusteringConfig, min_size: int):
     """The equal-block labels, then config.restarts random contiguous ones."""
     k = config.n_clusters
     yield np.arange(t_len) * k // t_len
-    rng = np.random.default_rng(config.seed)
-    for _ in range(config.restarts):
-        lengths = min_size + rng.multinomial(t_len - k * min_size, np.full(k, 1.0 / k))
-        yield np.repeat(np.arange(k), lengths)
+    if config.restarts:  # numpy.random takes about 11 ms to import
+        rng = np.random.default_rng(config.seed)
+        for _ in range(config.restarts):
+            lengths = min_size + rng.multinomial(t_len - k * min_size, np.full(k, 1.0 / k))
+            yield np.repeat(np.arange(k), lengths)
 
 
 def _fit_once(panel: ReturnsPanel, config: ClusteringConfig, labels, memo):
@@ -391,13 +392,12 @@ def _fit_once(panel: ReturnsPanel, config: ClusteringConfig, labels, memo):
             if np.array_equal(days, labels == k):
                 continue
             try:
-                refit[k] = estimate_cluster(panel, np.flatnonzero(days), config, label=k)
+                refit[k] = days, estimate_cluster(panel, np.flatnonzero(days), config, label=k)
             except EstimationError:
                 repairs += 1
         if refit:
-            fresh = score_states(panel, list(refit.values())).values
-            for j, (k, model) in enumerate(refit.items()):
-                days = path.labels == k
+            fresh = score_states(panel, [model for _, model in refit.values()]).values
+            for j, (k, (days, model)) in enumerate(refit.items()):
                 if fresh[days, j].sum() < scores.values[days, k].sum():
                     repairs += 1
                 else:

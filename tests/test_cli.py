@@ -645,12 +645,18 @@ def test_missing_required_flags(capsys):
     _one_stderr_line(capsys)
 
 
-_NO_SCIPY_SCRIPT = """
+_UNWANTED_IMPORTS_SCRIPT = """
 import json, sys
 import marketstates.cli as cli
 
+# scipy is a test dependency only; numpy.random (about 11 ms to import)
+# serves restarts, which the CLI never runs, and numpy.ma (about 16 ms)
+# is what a plain np.unique loads
+UNWANTED = ("scipy", "numpy.random", "numpy.ma")
+
 def loaded():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+    # whole packages: numpy.matrixlib is no part of numpy.ma
+    return sorted(m for m in sys.modules if any(m == u or m.startswith(u + ".") for u in UNWANTED))
 
 after_import = loaded()
 data, out = sys.argv[1], sys.argv[2]
@@ -675,9 +681,9 @@ def _fresh_python(script: str, *args, check: bool = True):
     )
 
 
-def test_cli_never_imports_scipy(price_csv, tmp_path):
-    # pytest's own process has scipy loaded already, so a fresh one runs it
-    done = _fresh_python(_NO_SCIPY_SCRIPT, price_csv, tmp_path)
+def test_cli_never_imports_scipy_numpy_random_or_numpy_ma(price_csv, tmp_path):
+    # pytest's own process has loaded them already, so a fresh one runs it
+    done = _fresh_python(_UNWANTED_IMPORTS_SCRIPT, price_csv, tmp_path)
     result = json.loads(done.stdout.splitlines()[-1])
     assert result == {"import": [], "main": [], "codes": [0, 0]}, result
 

@@ -545,7 +545,9 @@ def test_fit_restarts_only_improve(three_regime):
 
 
 @pytest.mark.parametrize("t_len, k, min_size", [(600, 3, 11), (601, 4, 95), (1000, 6, 7)])
-def test_starts_are_equal_blocks_then_seeded_contiguous_partitions(t_len, k, min_size):
+def test_starts_are_equal_blocks_then_seeded_contiguous_partitions(
+    t_len, k, min_size, monkeypatch
+):
     # K blocks of equal length give or take a day, then restarts contiguous
     # partitions of at least min_size days each, drawn from seed
     config = ClusteringConfig(n_clusters=k, seed=3, restarts=4)
@@ -560,6 +562,13 @@ def test_starts_are_equal_blocks_then_seeded_contiguous_partitions(t_len, k, min
     other = list(segment._starts(t_len, replace(config, seed=4), min_size))[1:]
     assert all(np.array_equal(a, b) for a, b in zip(drawn, again))
     assert not any(np.array_equal(a, b) for a, b in zip(drawn, other))
+    # no restarts: the equal blocks alone, and no generator is built
+    def no_generator(*args, **kwargs):
+        raise AssertionError("a start without restarts built a generator")
+
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    only = list(segment._starts(t_len, replace(config, restarts=0), min_size))
+    assert len(only) == 1 and np.array_equal(only[0], first)
 
 
 def test_fit_rejects_infeasible(rng):
