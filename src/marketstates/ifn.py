@@ -107,18 +107,17 @@ class SparsePrecision:
         return sp.csr_matrix((data, (rows, cols)), shape=(self.n, self.n))
 
 
-# elements per temporary of the row-block symmetry check and of a TMFG rescan
+# elements per temporary of a TMFG rescan
 _BLOCK_ELEMENTS = 8192
 
 
 def _validate_similarity(similarity) -> np.ndarray:
     """A float copy of similarity with a zero diagonal, once it is valid.
 
-    The copy is the only n x n float array made: finiteness is checked
-    with one boolean mask, and the largest |w[i, j] - w[j, i]| over the
-    upper triangle is taken block by block of rows. Every entry must be
-    finite before any difference is taken, since a NaN difference
-    compares False against the bound.
+    Every entry must be finite before the largest |w - w.T| is taken,
+    since a NaN difference compares False against the bound. The
+    difference is one more n x n array, freed on return, so this stays
+    below the peak that build_tmfg's transposed copy and gain rows set.
     """
     w = np.array(similarity, dtype=float, copy=True)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
@@ -129,12 +128,8 @@ def _validate_similarity(similarity) -> np.ndarray:
     np.fill_diagonal(w, 0.0)
     if not np.isfinite(w).all():
         raise ValueError("similarity matrix has NaN or infinite off-diagonal entries")
-    asym = 0.0
-    step = max(1, _BLOCK_ELEMENTS // n)
-    for start in range(0, n, step):
-        stop = min(start + step, n)
-        diff = w[start:stop, start:] - w[start:, start:stop].T
-        asym = max(asym, float(np.abs(diff, out=diff).max()))
+    diff = w - w.T
+    asym = float(np.abs(diff, out=diff).max())
     if asym > 1e-9:
         raise ValueError(f"similarity matrix is not symmetric (max |w - w.T| = {asym:.3e})")
     return w

@@ -258,7 +258,6 @@ def solve_path(scores: ScoreMatrix, gamma: float) -> StatePath:
     value = np.zeros((k_len, n_blocks))
     within = (entry[:, None, :, None] + chain).max(axis=0)
     value[:, 1:] = within.reshape(k_len, n_groups * g)[:, :inner]
-    del transfer, chain, within
 
     # per padded day, day-major: the state that cannot stay, the first best
     stuck = np.empty((n_blocks, w, k_len), dtype=bool)
@@ -271,7 +270,6 @@ def solve_path(scores: ScoreMatrix, gamma: float) -> StatePath:
         np.maximum(value, switch, out=value)
         value += s[i]
     k = int(value[:, -1].argmax())
-    del s
 
     # began[p, k]: the last day <= p on which state k had to be entered by
     # a switch, or -1; day 0 and the padding start from equal values, so

@@ -613,30 +613,39 @@ def test_validation_reports_the_largest_asymmetry(rng):
     assert np.array_equal(_validate_similarity(w), np.where(np.eye(30, dtype=bool), 0.0, w))
 
 
-def test_growth_memory_is_bounded(rng):
-    # the n x n transposed similarity and the (3n - 8) x n gain rows
-    n = 250
-    w = panels.block_similarity(rng, n)
+# the n = 250 similarities the memory tests build on: sector-like
+# correlations, a dense random matrix and the first rounded to two digits
+_SIMILARITY_SHAPES = {
+    "block": panels.block_similarity,
+    "random": panels.random_similarity,
+    "rounded_block": lambda rng, n: np.round(panels.block_similarity(rng, n), 2),
+}
+
+
+def _traced_peak(func, similarity):
     tracemalloc.start()
     try:
-        build_tmfg(w)
-        peak = tracemalloc.get_traced_memory()[1]
+        func(similarity)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+@pytest.mark.parametrize("shape", _SIMILARITY_SHAPES)
+def test_growth_memory_is_bounded(rng, shape):
+    # the n x n transposed similarity and the (3n - 8) x n gain rows
+    n = 250
+    peak = _traced_peak(build_tmfg, _SIMILARITY_SHAPES[shape](rng, n))
     assert peak <= 5 * n * n * 8, peak
 
 
-def test_validation_makes_one_float_copy(rng):
+@pytest.mark.parametrize("shape", _SIMILARITY_SHAPES)
+def test_validation_never_sets_the_growth_peak(rng, shape):
+    # build_tmfg validates first; had validation set its peak, the two
+    # would differ by call overhead alone, far less than one row of w
     n = 250
-    w = panels.random_similarity(rng, n)
-    tracemalloc.start()
-    try:
-        out = _validate_similarity(w)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert out.shape == (n, n)
-    assert peak < 2 * n * n * 8, peak
+    w = _SIMILARITY_SHAPES[shape](rng, n)
+    assert _traced_peak(_validate_similarity, w) + n * 8 < _traced_peak(build_tmfg, w)
 
 
 def test_csr_form_without_scipy_names_the_extra(rng, monkeypatch):
