@@ -76,21 +76,21 @@ class ClusteringConfig:
 
     def validate(self) -> None:
         if not _is_int(self.n_clusters) or self.n_clusters < 2:
-            raise ConfigError(f"n_clusters must be an integer >= 2, got {self.n_clusters}")
+            raise ConfigError(f"n_clusters must be an integer >= 2, got {self.n_clusters!r}")
         _gamma_float(self.gamma)
         if self.similarity_mode not in SIMILARITY_MODES:
             raise ConfigError(
                 f"similarity_mode must be one of {SIMILARITY_MODES}, got {self.similarity_mode!r}"
             )
         if not _is_int(self.max_iterations) or self.max_iterations < 1:
-            raise ConfigError(f"max_iterations must be a positive integer, got {self.max_iterations}")
+            raise ConfigError(f"max_iterations must be a positive integer, got {self.max_iterations!r}")
         if not _is_int(self.seed) or self.seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         size = self.min_cluster_size
         if size is not None and (not _is_int(size) or size < MIN_CLUSTER_SIZE):
-            raise ConfigError(f"min_cluster_size must be an integer >= {MIN_CLUSTER_SIZE}, got {size}")
+            raise ConfigError(f"min_cluster_size must be an integer >= {MIN_CLUSTER_SIZE}, got {size!r}")
         if not _is_int(self.restarts) or self.restarts < 0:
-            raise ConfigError(f"restarts must be a non-negative integer, got {self.restarts}")
+            raise ConfigError(f"restarts must be a non-negative integer, got {self.restarts!r}")
 
     def resolved_min_cluster_size(self, n_assets: int) -> int:
         if self.min_cluster_size is not None:
@@ -214,7 +214,7 @@ def solve_path(scores: ScoreMatrix, gamma: float) -> StatePath:
     """
     gamma = _gamma_float(gamma)  # float64 arithmetic whatever real type gamma has
     if not isinstance(scores, ScoreMatrix):
-        scores = ScoreMatrix(np.asarray(scores, dtype=float))
+        scores = ScoreMatrix(scores)
     v = scores.values
     t_len, k_len = v.shape
 

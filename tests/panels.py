@@ -117,6 +117,17 @@ def block_similarity(rng, n, blocks=4, rho=0.5, t_len=500):
     return w
 
 
+def near_duplicate_assets(rng, t_len=400, n=6):
+    """(covariance, |correlation| similarity) of Gaussian returns whose
+    assets 0 and 1 differ by 1e-14 noise, so every block holding both is
+    near singular."""
+    x = rng.normal(size=(t_len, n))
+    x[:, 1] = x[:, 0] + 1e-14 * rng.normal(size=t_len)
+    w = np.abs(np.corrcoef(x, rowvar=False))
+    np.fill_diagonal(w, 0.0)
+    return np.cov(x, rowvar=False, ddof=1), w
+
+
 def rising_volatility_panel(seed=0, t_len=600, n=N_ASSETS):
     """Independent Gaussian returns whose scale rises fourfold over the panel.
 

@@ -211,36 +211,47 @@ def test_explicit_ratio_pair(price_csv, tmp_path):
     assert report["ratio_states"] == [2, 0]
 
 
-def test_exit_code_on_bad_config(price_csv, tmp_path, capsys):
-    base = ["--input", price_csv, "--output", tmp_path / "x"]
-    for extra in (
-        ["--clusters", 1],
-        ["--gamma", -5],
-        ["--ratio", "nonsense"],
-        ["--clusters", 3, "--ratio", "0,7"],
-        ["--min-cluster-size", 400],
-        ["--sweep-gamma", "nan"],
-        ["--seed", -1],
-        ["--mode", "likelihood"],  # one scoring mode, so no flag to choose it
-    ):
-        assert _run(base + extra) == 1, extra
-        _one_stderr_line(capsys)
+# argv, with {data}, {absent} and {out} standing for the price file, a
+# missing file and the output directory; the exit code; the start of the
+# one stderr line after its error kind; whether the output directory is made
+_IN_OUT = ["--input", "{data}", "--output", "{out}"]
+_EXIT_CASES = [
+    ([*_IN_OUT, "--clusters", 1], 1, "n_clusters must be an integer >= 2, got 1", False),
+    ([*_IN_OUT, "--gamma", -5], 1, "gamma must be finite and >= 0, got -5.0", False),
+    ([*_IN_OUT, "--ratio", "nonsense"], 1,
+     "--ratio must be 'A,B' or 'auto', got 'nonsense'", False),
+    ([*_IN_OUT, "--clusters", 3, "--ratio", "0,7"], 1,
+     "--ratio states must be distinct labels in [0, 3)", False),
+    # found once the panel is loaded, so the failure report is written
+    ([*_IN_OUT, "--min-cluster-size", 400], 1,
+     "infeasible: 600 time points cannot hold 4 states of at least 400 points each", True),
+    ([*_IN_OUT, "--sweep-gamma", "nan"], 1, "gamma must be finite and >= 0, got nan", False),
+    ([*_IN_OUT, "--seed", -1], 1, "seed must be a non-negative integer, got -1", False),
+    # one scoring mode, so no flag to choose it
+    ([*_IN_OUT, "--mode", "likelihood"], 1, "unrecognized arguments: --mode likelihood", False),
+    ([*_IN_OUT, "--bogus"], 1, "unrecognized arguments: --bogus", False),
     # a malformed sweep list is reported by its flag, not by its converter
-    for flag, value in (("--sweep-k", "2,x"), ("--sweep-gamma", "1,abc")):
-        assert _run(base + [flag, value]) == 1, flag
-        line = _one_stderr_line(capsys)
-        assert f"argument {flag}: expected comma-separated" in line, line
-        assert "_list" not in line, line
+    ([*_IN_OUT, "--sweep-k", "2,x"], 1,
+     "argument --sweep-k: expected comma-separated integers, got '2,x'", False),
+    ([*_IN_OUT, "--sweep-gamma", "1,abc"], 1,
+     "argument --sweep-gamma: expected comma-separated numbers, got '1,abc'", False),
+    ([*_IN_OUT, "--sweep-k", ""], 1, "sweep lists must be non-empty", False),
+    (["--input", "", "--output", "{out}"], 1, "input path must not be empty", False),
+    ([], 1, "the following arguments are required: --input, --output", False),
+    (["--input", "{absent}", "--output", "{out}"], 2, "cannot read {absent}: ", True),
+]
 
 
-def test_exit_code_on_unknown_flag(price_csv, tmp_path, capsys):
-    assert _run(["--input", price_csv, "--output", tmp_path / "x", "--bogus"]) == 1
-    assert "config error" in _one_stderr_line(capsys)
-
-
-def test_exit_code_on_missing_input(tmp_path, capsys):
-    assert _run(["--input", tmp_path / "absent.csv", "--output", tmp_path / "x"]) == 2
-    _one_stderr_line(capsys)
+@pytest.mark.parametrize("argv, code, fragment, made", _EXIT_CASES)
+def test_exit_code_and_one_stderr_line(price_csv, tmp_path, capsys, argv, code, fragment, made):
+    out = tmp_path / "x"
+    names = {"data": price_csv, "absent": tmp_path / "absent.csv", "out": out}
+    assert _run([str(arg).format(**names) for arg in argv]) == code
+    line = _one_stderr_line(capsys)
+    kind = {1: "config", 2: "data"}[code]
+    assert line.startswith(f"marketstates: {kind} error: {fragment.format(**names)}"), line
+    assert "_list" not in line, line
+    assert out.exists() == made
 
 
 def test_exit_code_on_malformed_csv(tmp_path, capsys):
@@ -331,13 +342,6 @@ def test_sweep_with_states_of_one_mean_runs_every_cell(zero_sum_csv, tmp_path, c
     assert [(cell["clusters"], cell["exit_code"]) for cell in cells] == [(2, 3), (3, 3)]
     for cell in cells:
         assert json.loads((out / cell["dir"] / "report.json").read_text())["error_kind"] == "fit"
-
-
-def test_empty_input_path_is_a_config_error(tmp_path, capsys):
-    out = tmp_path / "noinput"
-    assert _run(["--input", "", "--output", out]) == 1
-    assert "input path must not be empty" in _one_stderr_line(capsys)
-    assert not out.exists()
 
 
 def test_unwritable_failure_report_keeps_the_exit_code(tmp_path, capsys):
@@ -477,13 +481,6 @@ def test_sweep_validates_its_cells_not_the_base_config(price_csv, tmp_path, caps
         assert _run(base + extra) == 1, extra
         _one_stderr_line(capsys)
     assert not (tmp_path / "one").exists()
-
-
-def test_sweep_rejects_empty_list(price_csv, tmp_path, capsys):
-    assert _run(
-        ["--input", price_csv, "--output", tmp_path / "x", "--sweep-k", ""]
-    ) == 1
-    _one_stderr_line(capsys)
 
 
 def test_sweep_loads_the_panel_once(price_csv, tmp_path, spy):
@@ -638,11 +635,6 @@ def test_sweep_with_failed_cells_prints_one_line(price_csv, tmp_path, capsys):
     assert line.rstrip().endswith("(2 of 3 cells failed)")
     for name in ("K60_gamma100", "K70_gamma100"):
         assert json.loads((out / name / "report.json").read_text())["error_kind"] == "config"
-
-
-def test_missing_required_flags(capsys):
-    assert main([]) == 1
-    _one_stderr_line(capsys)
 
 
 _UNWANTED_IMPORTS_SCRIPT = """

@@ -343,14 +343,13 @@ def test_logo_bitwise_matches_loop_oracle(rng):
 
 
 def test_logo_bitwise_matches_loop_oracle_with_ridge(rng):
-    # the near-duplicate assets of test_ill_conditioned_block_gets_ridge
-    m = 400
-    x = rng.normal(size=(m, 6))
-    x[:, 1] = x[:, 0] + 1e-14 * rng.normal(size=m)
-    cov = np.cov(x, rowvar=False, ddof=1)
-    w = np.abs(np.corrcoef(x, rowvar=False))
-    np.fill_diagonal(w, 0.0)
-    assert _assert_matches_loop_oracle(cov, build_tmfg(w)) > 0
+    # two near-identical assets: the ridge keeps assembly finite
+    cov, w = panels.near_duplicate_assets(rng)
+    g = build_tmfg(w)
+    assert _assert_matches_loop_oracle(cov, g) > 0
+    sp = logo_precision(cov, g)
+    assert np.all(np.isfinite(sp.matrix.toarray()))
+    assert np.isfinite(sp.log_det)
 
 
 def _assert_same_outcome_as_loop_oracle(cov, g):
@@ -412,12 +411,9 @@ def test_well_conditioned_blocks_take_no_svd(rng, spy):
     assert calls == []
     # a near-singular pair of assets: only the blocks holding both get
     # one, in logo_precision and again in logdet_precision
-    x = rng.normal(size=(400, 6))
-    x[:, 1] = x[:, 0] + 1e-14 * rng.normal(size=400)
-    w = np.abs(np.corrcoef(x, rowvar=False))
-    np.fill_diagonal(w, 0.0)
+    cov, w = panels.near_duplicate_assets(rng)
     g = build_tmfg(w)
-    logo_precision(np.cov(x, rowvar=False, ddof=1), g)
+    logo_precision(cov, g)
     holding = sum({0, 1} <= set(verts) for verts in g.cliques + g.separators)
     assert sum(calls) == 2 * holding > 0
 
@@ -430,7 +426,7 @@ def test_singular_block_error_names_the_oracle_block(rng):
     with pytest.raises(SingularSubmatrixError) as expected:
         logo_loop_oracle(bad, g)
     assert expected.value.vertices == tuple(g.cliques[0])
-    with pytest.raises(SingularSubmatrixError) as err:
+    with pytest.raises(SingularSubmatrixError, match="singular sub-covariance") as err:
         logo_precision(bad, g)
     assert err.value.vertices == expected.value.vertices
     with pytest.raises(SingularSubmatrixError) as err:
@@ -532,31 +528,6 @@ def test_small_sample_beats_dense_inverse(rng):
 
         wins += kl(j_logo) < kl(j_dense)
     assert wins >= 16
-
-
-def test_ill_conditioned_block_gets_ridge(rng):
-    # two near-identical assets: clique sub-covariances are near singular,
-    # the ridge keeps assembly finite
-    m = 400
-    x = rng.normal(size=(m, 6))
-    x[:, 1] = x[:, 0] + 1e-14 * rng.normal(size=m)
-    cov = np.cov(x, rowvar=False, ddof=1)
-    w = np.abs(np.corrcoef(x, rowvar=False))
-    np.fill_diagonal(w, 0.0)
-    g = build_tmfg(w)
-    sp = logo_precision(cov, g)
-    assert np.all(np.isfinite(sp.matrix.toarray()))
-    assert np.isfinite(sp.log_det)
-
-
-def test_indefinite_block_raises_with_vertices(rng):
-    # a well-conditioned but indefinite "covariance" cannot be inverted
-    # blockwise; the error names the offending vertex set
-    bad = -np.eye(6)
-    g = build_tmfg(panels.random_similarity(rng, 6))
-    with pytest.raises(SingularSubmatrixError, match="singular sub-covariance") as err:
-        logo_precision(bad, g)
-    assert len(err.value.vertices) in (3, 4)
 
 
 def test_covariance_of_another_shape_is_rejected(rng):

@@ -108,12 +108,7 @@ def test_subpanel_shift(tmp_path):
 
 
 def test_standardize_returns(rng):
-    values = rng.normal(2.0, 3.0, size=(60, 4))
-    panel = ReturnsPanel(
-        dates=tuple(f"2021-{1 + i // 28:02d}-{1 + i % 28:02d}" for i in range(60)),
-        assets=("a", "b", "c", "d"),
-        values=values,
-    )
+    panel = panels.returns_panel(rng.normal(2.0, 3.0, size=(60, 4)))
     z = standardize_returns(panel)
     assert np.allclose(z.values.mean(axis=0), 0.0, atol=1e-12)
     assert np.allclose(z.values.std(axis=0, ddof=1), 1.0, atol=1e-12)
@@ -123,24 +118,16 @@ def test_standardize_returns(rng):
 def test_standardize_rejects_constant_column():
     values = np.ones((10, 4))
     values[:, 1:] = np.arange(10)[:, None] * [[1.0, 2.0, 3.0]]
-    panel = ReturnsPanel(
-        dates=tuple(f"2021-01-{d:02d}" for d in range(1, 11)),
-        assets=("a", "b", "c", "d"),
-        values=values,
-    )
-    with pytest.raises(DataError, match="zero return variance"):
-        standardize_returns(panel)
+    with pytest.raises(DataError, match="asset A0 has zero return variance"):
+        standardize_returns(panels.returns_panel(values))
 
 
 def test_standardize_rejects_a_single_date():
     # one date has no sample variance; numpy would warn on stderr before the error
-    panel = ReturnsPanel(
-        dates=("2021-01-04",), assets=("a", "b", "c", "d"), values=np.ones((1, 4))
-    )
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DataError, match="at least 2 return dates"):
-            standardize_returns(panel)
+            standardize_returns(panels.returns_panel(np.ones((1, 4))))
 
 
 @pytest.mark.parametrize(
@@ -150,6 +137,7 @@ def test_standardize_rejects_a_single_date():
         ("date,A,B,C,D\n2020-01-01,1,1,1,1\n2020-01-02,0.0,2,2,2\n", "not positive"),
         ("date,A,B,C,D\n2020-01-01,1,1,1,1\n2020-01-02,-1,2,2,2\n", "not positive"),
         ("date,A,B,C,D\n2020-01-01,1,1,1,1\n2020-01-02,x,2,2,2\n", "cannot parse"),
+        ("date,A,B,C,D\n2020-01-01,1,1,1,1\n2020-01-02,1,oops,1,1\n", "line 3, column 'B'"),
         ("date,A,B,C,D\n2020-01-01,1,1,1,1\n2020-01-02,inf,2,2,2\n", "cannot parse"),
         ("time,A,B,C,D\n2020-01-01,1,1,1,1\n2020-01-02,2,2,2,2\n", "first column"),
         ("date,A,B,C\n2020-01-01,1,1,1\n2020-01-02,2,2,2\n", "asset columns"),
@@ -208,39 +196,23 @@ def test_missing_file_is_data_error(tmp_path):
         load_price_panel(tmp_path / "absent.csv")
 
 
-def test_parse_error_reports_line_and_column(tmp_path):
-    body = "date,A,B,C,D\n2020-01-01,1,1,1,1\n2020-01-02,1,oops,1,1\n"
-    with pytest.raises(DataError, match=r"line 3, column 'B'"):
-        load_price_panel(_write(tmp_path, body))
+_DAYS = ("2020-01-01", "2020-01-02")
 
 
-def test_panel_validation_rejects_shape_mismatch():
-    with pytest.raises(DataError):
-        PricePanel(dates=("2020-01-01",), assets=("a", "b", "c", "d"), values=np.ones((2, 4)))
-    with pytest.raises(DataError):
-        ReturnsPanel(
-            dates=("2020-01-01", "2020-01-02"),
-            assets=("a", "b", "c"),
-            values=np.ones((2, 4)),
-        )
-
-
-def test_panel_validation_rejects_unsorted_dates():
-    with pytest.raises(DataError):
-        PricePanel(
-            dates=("2020-01-02", "2020-01-01"),
-            assets=("a", "b", "c", "d"),
-            values=np.ones((2, 4)),
-        )
-
-
-def test_panel_validation_rejects_nonfinite_returns():
-    values = np.zeros((2, 4))
-    values[1, 2] = np.nan
-    with pytest.raises(DataError):
-        ReturnsPanel(
-            dates=("2020-01-01", "2020-01-02"), assets=("a", "b", "c", "d"), values=values
-        )
+@pytest.mark.parametrize(
+    "panel_type, dates, assets, values, message",
+    [
+        (PricePanel, _DAYS[:1], "abcd", np.ones((2, 4)), r"price matrix shape \(2, 4\) is not 1 x 4"),
+        (ReturnsPanel, _DAYS, "abc", np.ones((2, 4)), r"return matrix shape \(2, 4\) is not 2 x 3"),
+        (PricePanel, _DAYS[::-1], "abcd", np.ones((2, 4)),
+         "dates must be strictly increasing, got 2020-01-02 before 2020-01-01"),
+        (ReturnsPanel, _DAYS, "abcd", [[0.0] * 4, [0.0, 0.0, np.nan, 0.0]],
+         "return at date 2020-01-02, asset c is not finite"),
+    ],
+)
+def test_panel_validation_rejects(panel_type, dates, assets, values, message):
+    with pytest.raises(DataError, match=message):
+        panel_type(dates=dates, assets=tuple(assets), values=values)
 
 
 def test_leap_day_is_a_calendar_date(tmp_path):

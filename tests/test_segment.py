@@ -117,6 +117,9 @@ def test_config_rejects_bool_for_integer_fields(name):
     for flag in (True, np.bool_(True)):
         with pytest.raises(ConfigError, match=name):
             ClusteringConfig(**{name: flag}).validate()
+    # a str shows its quotes, so "9" does not read as the valid 9
+    with pytest.raises(ConfigError, match=f"{name} must be .*, got '9'$"):
+        ClusteringConfig(**{name: "9"}).validate()
 
 
 def test_config_accepts_numpy_integers(three_regime):
