@@ -246,17 +246,18 @@ def solve_path(scores: ScoreMatrix, gamma: float) -> StatePath:
         block += s[i, :, :inner]
 
     # in place, chain[j, k, G, m]: the max-plus product of group G's
-    # transfers 0..m; entry[:, G]: the values entering group G's first block
+    # transfers 0..m; entry[:, G]: the values entering group G's first
+    # block; value[:, b]: block b's entry values, then its running values.
+    # Two transfers near -gamma may sum to -inf, which no best path takes.
     chain = transfer.reshape(k_len, k_len, n_groups, g)
-    for m in range(1, g):
-        chain[:, :, :, m] = (chain[:, :, None, :, m - 1] + chain[None, :, :, :, m]).max(axis=1)
     entry = np.zeros((k_len, n_groups))
-    for group in range(1, n_groups):
-        entry[:, group] = (entry[:, group - 1, None] + chain[:, :, group - 1, -1]).max(axis=0)
-
-    # value[:, b]: block b's entry values, then its running values
     value = np.zeros((k_len, n_blocks))
-    within = (entry[:, None, :, None] + chain).max(axis=0)
+    with np.errstate(over="ignore"):
+        for m in range(1, g):
+            chain[:, :, :, m] = (chain[:, :, None, :, m - 1] + chain[None, :, :, :, m]).max(axis=1)
+        for group in range(1, n_groups):
+            entry[:, group] = (entry[:, group - 1, None] + chain[:, :, group - 1, -1]).max(axis=0)
+        within = (entry[:, None, :, None] + chain).max(axis=0)
     value[:, 1:] = within.reshape(k_len, n_groups * g)[:, :inner]
 
     # per padded day, day-major: the state that cannot stay, the first best
@@ -369,38 +370,33 @@ def _fit_once(panel: ReturnsPanel, config: ClusteringConfig, labels, memo):
     scores = ScoreMatrix(values.copy())
     trajectory: list = []
     repairs = 0
-    converged = False
 
     while True:
         path = solve_path(scores, config.gamma)
         trajectory.append(path.objective)
-        if np.array_equal(path.labels, labels):
-            converged = True
-            break
-        if len(trajectory) == config.max_iterations:
+        converged = np.array_equal(path.labels, labels)
+        if converged or len(trajectory) == config.max_iterations:
             break
         # Refit the states whose days changed. Graph re-selection and the
         # ddof=1 covariance do not maximize the score, so a new model
         # replaces the old one and its column only if it scores the
         # state's days no worse; a failed estimate (too few days
         # included) or a rejected one is a repair.
-        refit = {}
         for k in range(config.n_clusters):
             days = path.labels == k
             if np.array_equal(days, labels == k):
                 continue
             try:
-                refit[k] = days, estimate_cluster(panel, np.flatnonzero(days), config, label=k)
+                model = estimate_cluster(panel, np.flatnonzero(days), config, label=k)
             except EstimationError:
                 repairs += 1
-        if refit:
-            fresh = score_states(panel, [model for _, model in refit.values()]).values
-            for j, (k, (days, model)) in enumerate(refit.items()):
-                if fresh[days, j].sum() < scores.values[days, k].sum():
-                    repairs += 1
-                else:
-                    models[k] = model
-                    scores.values[:, k] = fresh[:, j]
+                continue
+            fresh = score_states(panel, [model]).values[:, 0]
+            if fresh[days].sum() < scores.values[days, k].sum():
+                repairs += 1
+            else:
+                models[k] = model
+                scores.values[:, k] = fresh
         labels = path.labels
 
     report = FitReport(

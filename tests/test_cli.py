@@ -165,6 +165,7 @@ _FIT_FILES = {"states.csv", "models.json"}
 _FLAG_CASES = [
     (["--clusters", 3], ("clustering", "n_clusters"), 3, _FIT_FILES),
     (["--gamma", 0], ("clustering", "gamma"), 0.0, _FIT_FILES),
+    (["--gamma", "1e308"], ("clustering", "gamma"), 1e308, _FIT_FILES),
     (["--similarity", "absolute"], ("clustering", "similarity_mode"), "absolute", _FIT_FILES),
     (["--standardize"], ("standardize",), True, _FIT_FILES),
     (["--max-iter", 1], ("clustering", "max_iterations"), 1, _FIT_FILES),
@@ -930,7 +931,7 @@ def _flag(name, values):
 # invalid flag; argparse keeps the last value of a repeated flag
 _ARGV = st.tuples(
     _flag("--clusters", ["2", "3"]),
-    _flag("--gamma", ["0", "5", "100", "1e9"]),
+    _flag("--gamma", ["0", "5", "100", "1e9", "1e308"]),
     _flag("--similarity", ["signed", "absolute", "squared"]),
     st.sampled_from([[], ["--standardize"]]),
     _flag("--max-iter", ["1", "3"]),

@@ -264,8 +264,9 @@ def test_huge_gamma_freezes_best_column(rng):
     assert path.labels[0] == values.sum(axis=0).argmax()
 
 
-# the last two are read as their floats, objective included
-GAMMAS = (0.0, 0.4, 4.0, 50.0, 1e6, np.float16(2.7), Fraction(1, 3))
+# the float16 and the Fraction are read as their floats, objective
+# included; at the last two, two switch penalties add past the float range
+GAMMAS = (0.0, 0.4, 4.0, 50.0, 1e6, np.float16(2.7), Fraction(1, 3), 1e308, np.finfo(float).max)
 
 
 def _assert_same_path_as_reference(values, gamma):
@@ -355,7 +356,7 @@ def test_blocked_path_matches_reference_over_a_long_history(rng, gamma, k_len):
     _assert_same_path_as_reference(3.0 * rng.normal(size=(25000, k_len)), gamma)
 
 
-@pytest.mark.parametrize("t_len, k_len", [(25000, 4), (25000, 8), (2500, 3)])
+@pytest.mark.parametrize("t_len, k_len", [(25000, 4), (25000, 8), (2500, 3), (2500, 16)])
 def test_solve_path_memory_is_bounded(rng, t_len, k_len):
     # a padded copy of the scores, the run starts and the flags: no
     # T x K x K array and no Python object per day, at any gamma
@@ -696,7 +697,7 @@ def test_undersized_state_is_repaired_at_the_refit(three_regime, monkeypatch):
     _, refit = rounds
     assert _failed(refit) == [(1, 0)]
     assert report.repairs == 1
-    assert len(refit["scored"]) == 1 and 1 not in refit["scored"][0]
+    assert refit["scored"] == [[k] for k in _estimated(refit) if k != 1]
     assert models[1].mu is _start_models(rounds)[1].mu
     assert report.occupancy[1] == np.count_nonzero(path.labels == 1) == 0
 
@@ -720,7 +721,7 @@ def test_failed_estimate_is_repaired_at_the_refit(three_regime, monkeypatch):
     (k,) = failed
     first = _start_models(rounds)
     assert models[k].mu is first[k].mu
-    assert k not in rounds[1]["scored"][0]
+    assert [k] not in rounds[1]["scored"]
     # one refit, so repairs counts the refit states that end on their
     # first model: the failed one and those whose new model scored worse
     kept = [j for j in _estimated(rounds[1]) if models[j].mu is first[j].mu]
@@ -848,7 +849,7 @@ def test_unchanged_state_is_neither_reestimated_nor_rescored(three_regime, monke
     _, refit = rounds
     assert _changed_states(rounds, labels0, 3) == [[0, 1]]
     assert _estimated(refit) == [0, 1]
-    assert refit["scored"] == [[0, 1]]
+    assert refit["scored"] == [[0], [1]]
     assert models[2].mu is _start_models(rounds)[2].mu
     # the kept column is the one a fresh scoring of the state's model gives
     rescored = solve_path(score_states(panel, models), config.gamma)
@@ -968,6 +969,6 @@ def test_refit_reuses_the_states_of_the_iterate_before(three_regime, monkeypatch
     for refit, moved in zip(rounds[1:], changed):
         assert _estimated(refit) == moved
         succeeded = [label for label, _, model in refit["estimates"] if model is not None]
-        assert refit["scored"] == ([succeeded] if succeeded else [])
+        assert refit["scored"] == [[label] for label in succeeded]
         reused += 4 - len(moved)
     assert reused > 0
