@@ -22,9 +22,9 @@ import numpy as np
 from .errors import DataError
 from .ifn import MIN_VERTICES
 
-_ISO_DATE = re.compile(r"^[0-9]{4}-[0-9]{2}-[0-9]{2}$")
-# the date prefixes of all rows, joined; year 0 is no date to fromisoformat
-_ISO_DATE_PREFIXES = re.compile(r"(?:(?!0000)[0-9]{4}-[0-9]{2}-[0-9]{2},)*")
+_ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+# one row's date prefix; year 0 is no date to fromisoformat
+_ISO_DATE_ROW = re.compile("(?!0000)" + _ISO_DATE.pattern + ",")
 # characters whose files the block parse leaves to the csv module: a quote,
 # a lone carriage return (a line end to csv only) and NUL (a csv.Error
 # before Python 3.11)
@@ -137,7 +137,7 @@ def _read_rows(reader, path) -> tuple:
                 f"line {line_no}: expected {len(assets) + 1} cells, got {len(row)}"
             )
         date_cell = row[0].strip()
-        if not _ISO_DATE.match(date_cell):
+        if not _ISO_DATE.fullmatch(date_cell):
             raise DataError(
                 f"line {line_no}: date {date_cell!r} is not ISO-8601 (YYYY-MM-DD)"
             )
@@ -161,7 +161,7 @@ def _read_block(text: str, path) -> PricePanel | None:
     """Parse a valid file in one vectorized pass; None if it does not pass.
 
     Every row must open with an 11-character YYYY-MM-DD date and its
-    comma: one regex checks all of those prefixes joined, one datetime64
+    comma: one regex must delete all of those prefixes joined, one datetime64
     conversion checks the calendar, and one np.loadtxt reads every row's
     price columns. A row with fewer cells fails in loadtxt's usecols, so
     when the file holds one comma per asset per line, no row has more
@@ -190,7 +190,7 @@ def _read_block(text: str, path) -> PricePanel | None:
             return None
         # a row shorter than 11 characters makes the joined prefixes short
         prefixes = "".join([line[:11] for line in lines])
-        if len(prefixes) != 11 * len(lines) or not _ISO_DATE_PREFIXES.fullmatch(prefixes):
+        if len(prefixes) != 11 * len(lines) or _ISO_DATE_ROW.sub("", prefixes):
             return None
         dates = prefixes.split(",")[:-1]
         days = np.array(dates, dtype="datetime64[D]")  # ValueError off the calendar

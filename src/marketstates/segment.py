@@ -16,6 +16,7 @@ Scoring multiplies by each J as a dense array built from the precision's
 upper-triangle entries, so fitting imports numpy only.
 """
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -210,7 +211,7 @@ def solve_path(scores: ScoreMatrix, gamma: float) -> StatePath:
     are added to the entry values, so a label can differ from a
     day-by-day float loop only where two choices lie within rounding;
     integer-valued scores are exact either way. Memory is
-    O(T * K + K^2 * T^(2/3) + K^3 * T^(1/3)), with no T x K x K array.
+    O(T * K + K^2 * T^(2/3)), with no T x K x K or K^3 array.
     """
     gamma = _gamma_float(gamma)  # float64 arithmetic whatever real type gamma has
     if not isinstance(scores, ScoreMatrix):
@@ -254,7 +255,8 @@ def solve_path(scores: ScoreMatrix, gamma: float) -> StatePath:
     value = np.zeros((k_len, n_blocks))
     with np.errstate(over="ignore"):
         for m in range(1, g):
-            chain[:, :, :, m] = (chain[:, :, None, :, m - 1] + chain[None, :, :, :, m]).max(axis=1)
+            chain[:, :, :, m] = functools.reduce(np.maximum, (
+                chain[:, l, None, :, m - 1] + chain[None, l, :, :, m] for l in range(k_len)))
         for group in range(1, n_groups):
             entry[:, group] = (entry[:, group - 1, None] + chain[:, :, group - 1, -1]).max(axis=0)
         within = (entry[:, None, :, None] + chain).max(axis=0)

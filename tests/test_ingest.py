@@ -367,11 +367,15 @@ def test_each_trap_reads_as_on_the_csv_path(tmp_path):
         _same_as_csv_path(_write(tmp_path, body))
 
 
-def test_block_parse_holds_one_copy_of_the_rows(tmp_path):
-    rng = np.random.default_rng(0)
-    prices = 100 * np.exp(np.cumsum(rng.normal(0.0, 0.01, (2500, 100)), axis=0))
-    days = (np.datetime64("2000-01-01") + np.arange(2500)).astype(str).tolist()
-    lines = ["date," + ",".join(f"A{j}" for j in range(100))]
+@pytest.mark.parametrize("wide", [True, False], ids=["wide", "short_rows"])
+def test_block_parse_holds_one_copy_of_the_rows(tmp_path, wide):
+    if wide:
+        rng = np.random.default_rng(0)
+        prices = 100 * np.exp(np.cumsum(rng.normal(0.0, 0.01, (2500, 100)), axis=0))
+    else:
+        prices = np.full((40000, 4), 1.5)
+    days = (np.datetime64("2000-01-01") + np.arange(len(prices))).astype(str).tolist()
+    lines = ["date," + ",".join(f"A{j}" for j in range(prices.shape[1]))]
     lines += [f"{day}," + ",".join(map(repr, row)) for day, row in zip(days, prices.tolist())]
     path = _write(tmp_path, "\n".join(lines) + "\n")
     tracemalloc.start()
@@ -381,8 +385,12 @@ def test_block_parse_holds_one_copy_of_the_rows(tmp_path):
     finally:
         tracemalloc.stop()
     assert panel.values.tobytes() == prices.tobytes()
-    # the read peaks near 2.6 files; one more copy of the rows reaches 3.6
-    assert peak < 3.1 * path.stat().st_size
+    if wide:
+        # the read peaks near 2.6 files; one more copy of the rows reaches 3.6
+        assert peak < 3.1 * path.stat().st_size
+    else:
+        # about 240 B a row; a date check that keeps state per row reaches 390
+        assert peak < 300 * len(prices)
 
 
 def test_descending_rows_take_the_block_parse(tmp_path, monkeypatch):

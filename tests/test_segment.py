@@ -356,7 +356,7 @@ def test_blocked_path_matches_reference_over_a_long_history(rng, gamma, k_len):
     _assert_same_path_as_reference(3.0 * rng.normal(size=(25000, k_len)), gamma)
 
 
-@pytest.mark.parametrize("t_len, k_len", [(25000, 4), (25000, 8), (2500, 3), (2500, 16)])
+@pytest.mark.parametrize("t_len, k_len", [(25000, 4), (25000, 8), (2500, 3), (2500, 16), (2500, 24)])
 def test_solve_path_memory_is_bounded(rng, t_len, k_len):
     # a padded copy of the scores, the run starts and the flags: no
     # T x K x K array and no Python object per day, at any gamma
