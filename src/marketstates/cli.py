@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import label_agreement, likelihood_ratio, suggest_ratio_states
-from .errors import ConfigError, DataError, EstimationError, FitError
+from .errors import ConfigError, DataError, FitError
 from .ingest import ReturnsPanel, load_price_panel, standardize_returns, to_log_returns
 from .segment import SIMILARITY_MODES, ClusteringConfig, StatePath, fit
 
@@ -50,7 +50,6 @@ _EXIT_CODES = (
     (OSError, EXIT_CONFIG, "config"),
     (DataError, EXIT_DATA, "data"),
     (FitError, EXIT_FIT, "fit"),
-    (EstimationError, EXIT_FIT, "fit"),
 )
 _HANDLED = tuple(row[0] for row in _EXIT_CODES)
 

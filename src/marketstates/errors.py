@@ -24,12 +24,9 @@ class EstimationError(MarketStatesError, RuntimeError):
 class SingularSubmatrixError(EstimationError):
     """A clique or separator sub-covariance is not positive definite."""
 
-    def __init__(self, vertices, detail=""):
+    def __init__(self, vertices):
         self.vertices = tuple(vertices)
-        msg = f"singular sub-covariance on vertex set {self.vertices}"
-        if detail:
-            msg += f": {detail}"
-        super().__init__(msg)
+        super().__init__(f"singular sub-covariance on vertex set {self.vertices}: not positive definite")
 
 
 class FitError(MarketStatesError, RuntimeError):

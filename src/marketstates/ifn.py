@@ -263,21 +263,21 @@ def _blocks(cov: np.ndarray, vertex_sets, width: int) -> tuple:
     idx = np.array(vertex_sets, dtype=np.intp).reshape(-1, width)
     blocks = cov[idx[:, :, None], idx[:, None, :]]
     blocks = 0.5 * (blocks + blocks.transpose(0, 2, 1))
-    trace = np.trace(blocks, axis1=1, axis2=2)
     logdet = np.linalg.slogdet(blocks)[1]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         log_bound = 0.5 * width * np.log(np.einsum("mij,mij->m", blocks, blocks)) - logdet
     unclear = np.flatnonzero(~(log_bound < _LOG_BOUND_LIMIT))
     if unclear.size:
         cond = np.linalg.cond(blocks[unclear])
-        ridge = (~np.isfinite(cond) | (cond > _RIDGE_CONDITION_LIMIT)) & (trace[unclear] > 0.0)
+        trace = np.trace(blocks[unclear], axis1=1, axis2=2)
+        ridge = (~np.isfinite(cond) | (cond > _RIDGE_CONDITION_LIMIT)) & (trace > 0.0)
         ridged = unclear[ridge]
-        blocks[ridged] += (_RIDGE_EPS * trace[ridged] / width)[:, None, None] * np.eye(width)
+        blocks[ridged] += (_RIDGE_EPS * trace[ridge] / width)[:, None, None] * np.eye(width)
         logdet[ridged] = np.linalg.slogdet(blocks[ridged])[1]
     ok = np.isfinite(logdet)
     if not (ok.all() and _has_cholesky(blocks)):
         first = next(m for m, block in enumerate(blocks) if not (ok[m] and _has_cholesky(block)))
-        raise SingularSubmatrixError(vertex_sets[first], "not positive definite")
+        raise SingularSubmatrixError(vertex_sets[first])
     return idx, blocks, logdet
 
 
@@ -306,19 +306,18 @@ def logdet_precision(covariance, graph: TmfgGraph) -> float:
     log |J| = sum_S log |cov_S| - sum_C log |cov_C|. The block
     log-determinants come from one batched slogdet per block size, cliques
     first as in logo_precision, so both raise SingularSubmatrixError on
-    the same vertex set. The sum is a running float sum over one array:
-    the separator log-determinants, then the negated clique ones, each in
-    graph order; x + (-c) rounds as x - c does. np.sum groups terms
-    pairwise and, from Python 3.12, builtin sum() compensates, so either
-    would change the last bits.
+    the same vertex set. The sum is np.add.accumulate from +0.0 over one
+    array: the separator log-determinants, then the negated clique ones,
+    each in graph order; x + (-c) rounds as x - c does, and the +0.0
+    start turns a lone -0.0 into +0.0. np.sum groups terms pairwise and,
+    from Python 3.12, builtin sum() compensates, so either would change
+    the last bits.
     """
     cov = _check_covariance(covariance, graph)
     clique_logdets = _blocks(cov, graph.cliques, 4)[2]
     separator_logdets = _blocks(cov, graph.separators, 3)[2]
-    total = 0.0
-    for value in np.concatenate([separator_logdets, -clique_logdets]).tolist():
-        total += value
-    return total
+    terms = np.concatenate([[0.0], separator_logdets, -clique_logdets])
+    return float(np.add.accumulate(terms)[-1])
 
 
 def logo_precision(covariance, graph: TmfgGraph) -> SparsePrecision:

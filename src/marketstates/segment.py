@@ -291,7 +291,8 @@ def solve_path(scores: ScoreMatrix, gamma: float) -> StatePath:
         p = day - 1
     labels = np.repeat(np.array(states[::-1], dtype=int), lengths[::-1])
 
-    switches = int(np.count_nonzero(np.diff(labels)))
+    # each run but the first was entered from another state: a stuck state is never the best
+    switches = len(states) - 1
     objective = float(v[np.arange(t_len), labels].sum() - gamma * switches)
     return StatePath(labels=labels, objective=objective, switches=switches, scores=scores)
 

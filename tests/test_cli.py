@@ -293,7 +293,8 @@ def test_exit_code_on_fit_failure(tmp_path, capsys):
     flat.write_text("\n".join(rows) + "\n")
     out = tmp_path / "x"
     assert _run(["--input", flat, "--output", out, "--clusters", 2]) == 3
-    _one_stderr_line(capsys)
+    # a start's EstimationError reaches main as a FitError
+    assert _one_stderr_line(capsys).startswith("marketstates: fit error: state estimation failed:")
     report = json.loads((out / "report.json").read_text())
     assert report["status"] == "error"
     assert report["error_kind"] == "fit"
