@@ -6,8 +6,10 @@ A run writes four files into the output directory:
   models.json  assets (the column names) and, per state, label, mu, the
                precision's diagonal and edges ([i, j, value] with i < j),
                log_det and occupancy
-  report.json  objective trajectory, iterations, switches (always written,
-               with diagnostics, even when the fit fails)
+  report.json  status, objective, objective_trajectory, iterations, converged,
+               switches, occupancy, repairs, best_iteration, config and, with
+               --ratio, ratio_states: the [A, B] pair ratio.csv compares (a
+               failed run writes status, error_kind, error and config)
   ratio.csv    date,value likelihood-ratio series (when --ratio is given)
 
 Every JSON file (models.json, report.json, sweep.json) is one line of
@@ -166,23 +168,19 @@ def run_fit(config: RunConfig, returns: ReturnsPanel, *, memo=None) -> StatePath
     models, path, report = fit(returns, config.clustering, memo=memo)
 
     ratio_pair = _parse_ratio(config.ratio, config.clustering.n_clusters)
-    series = None
     if ratio_pair == "auto":
         try:
             ratio_pair = suggest_ratio_states(path, returns)
         except ValueError as exc:
             raise FitError(str(exc)) from exc
-    if ratio_pair is not None:
-        series = likelihood_ratio(returns, models, *ratio_pair, scores=path.scores)
-
-    _write_csv(out_dir / "states.csv", "date,label", returns.dates, path.labels)
-    if series is not None:
-        _write_csv(out_dir / "ratio.csv", "date,value", series.dates, series.values)
-    _write_json(out_dir / "models.json", _models_payload(models, report.occupancy, returns.assets))
 
     payload = {"status": "ok", "config": asdict(config), **asdict(report)}
-    if series is not None:
+    _write_csv(out_dir / "states.csv", "date,label", returns.dates, path.labels)
+    if ratio_pair is not None:
+        series = likelihood_ratio(returns, models, *ratio_pair, scores=path.scores)
+        _write_csv(out_dir / "ratio.csv", "date,value", series.dates, series.values)
         payload["ratio_states"] = [int(series.state_a), int(series.state_b)]
+    _write_json(out_dir / "models.json", _models_payload(models, report.occupancy, returns.assets))
     _write_json(out_dir / "report.json", payload)
     return path
 

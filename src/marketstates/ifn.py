@@ -290,30 +290,24 @@ def _has_cholesky(blocks: np.ndarray) -> bool:
     return True
 
 
-def _check_covariance(covariance, graph: TmfgGraph) -> np.ndarray:
+def logdet_precision(covariance, graph: TmfgGraph) -> float:
+    """log |J| of the LoGo precision, without assembling J.
+
+    On the clique/separator decomposition the determinant factorizes, so
+    log |J| = sum_S log |cov_S| - sum_C log |cov_C|. Each block size takes
+    one batched slogdet, cliques before separators, so SingularSubmatrixError
+    names the first failing vertex set in that order. The sum is
+    np.add.accumulate from +0.0 over one array: the separator
+    log-determinants, then the negated clique ones, each in graph order;
+    x + (-c) rounds as x - c does, and the +0.0 start turns a lone -0.0
+    into +0.0. np.sum groups terms pairwise and, from Python 3.12, builtin
+    sum() compensates, so either would change the last bits.
+    """
     cov = np.asarray(covariance, dtype=float)
     if cov.shape != (graph.n, graph.n):
         raise ValueError(
             f"covariance shape {cov.shape} does not match graph on {graph.n} vertices"
         )
-    return cov
-
-
-def logdet_precision(covariance, graph: TmfgGraph) -> float:
-    """log |J| of the LoGo precision, without assembling J.
-
-    On the clique/separator decomposition the determinant factorizes, so
-    log |J| = sum_S log |cov_S| - sum_C log |cov_C|. The block
-    log-determinants come from one batched slogdet per block size, cliques
-    first as in logo_precision, so both raise SingularSubmatrixError on
-    the same vertex set. The sum is np.add.accumulate from +0.0 over one
-    array: the separator log-determinants, then the negated clique ones,
-    each in graph order; x + (-c) rounds as x - c does, and the +0.0
-    start turns a lone -0.0 into +0.0. np.sum groups terms pairwise and,
-    from Python 3.12, builtin sum() compensates, so either would change
-    the last bits.
-    """
-    cov = _check_covariance(covariance, graph)
     clique_logdets = _blocks(cov, graph.cliques, 4)[2]
     separator_logdets = _blocks(cov, graph.separators, 3)[2]
     terms = np.concatenate([[0.0], separator_logdets, -clique_logdets])
@@ -332,10 +326,11 @@ def logo_precision(covariance, graph: TmfgGraph) -> SparsePrecision:
     np.bincount, which adds in input order: every entry of J starts at 0.0
     and sums clique contributions in graph order, then separator ones.
     Each off-diagonal sum is stored once and stands for both mirrored
-    entries, so J is exactly symmetric. log_det comes from
-    logdet_precision.
+    entries, so J is exactly symmetric. One logdet_precision call, before
+    any inversion, checks the shape and every block and gives log_det.
     """
-    cov = _check_covariance(covariance, graph)
+    cov = np.asarray(covariance, dtype=float)
+    log_det = logdet_precision(cov, graph)
     n = graph.n
     keys, values = [], []
     for vertex_sets, width, sign in ((graph.cliques, 4, 1.0), (graph.separators, 3, -1.0)):
@@ -349,4 +344,4 @@ def logo_precision(covariance, graph: TmfgGraph) -> SparsePrecision:
 
     upper, position = np.unique(np.concatenate(keys), return_inverse=True)
     sums = np.bincount(position, weights=np.concatenate(values))
-    return SparsePrecision(n=n, upper=upper, sums=sums, log_det=logdet_precision(cov, graph))
+    return SparsePrecision(n=n, upper=upper, sums=sums, log_det=log_det)

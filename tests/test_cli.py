@@ -310,6 +310,8 @@ def test_auto_ratio_with_one_occupied_state_is_a_fit_failure(price_csv, tmp_path
     assert code == 3
     assert "two occupied states" in _one_stderr_line(capsys)
     assert json.loads((out / "report.json").read_text())["error_kind"] == "fit"
+    # the pick runs before the first write, so no states.csv or models.json
+    assert {p.name for p in out.iterdir()} == {"report.json"}
 
 
 @pytest.fixture(scope="module")

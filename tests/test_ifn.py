@@ -411,7 +411,7 @@ def test_well_conditioned_blocks_take_no_svd(rng, spy):
         logo_precision(panels.random_spd(rng, n), g)
     assert calls == []
     # a near-singular pair of assets: only the blocks holding both get
-    # one, in logo_precision and again in logdet_precision
+    # one, in logdet_precision first and then again in logo_precision
     cov, w = panels.near_duplicate_assets(rng)
     g = build_tmfg(w)
     logo_precision(cov, g)
