@@ -5,10 +5,10 @@ graph with 3n-6 edges, built by choosing a 4-vertex seed greedily by weight
 and then repeatedly inserting the (vertex, triangular face) pair that adds
 the most similarity weight. As in the original construction (Massara,
 Di Matteo & Aste, J. Complex Networks 2016), each face keeps its best
-remaining vertex, and an insertion rescans only the faces it made stale:
-the three new faces and those whose best vertex it took. Each face's row
-of gains over all vertices is summed once, when the face is made, and
-kept, so a rescan only takes the argmax of kept rows.
+remaining vertex. Each face's row of gains over all vertices is summed
+once, when the face is made, and kept; a heap orders the faces by their
+kept best gain, and a step rescans, with one argmax of a kept row, only
+the faces it pops whose best vertex is already placed.
 
 Because every maximal clique has size 4 and every separator size 3, the
 inverse covariance restricted to that structure has a closed form: the
@@ -29,6 +29,7 @@ sorted upper-triangle entries; scipy, a test dependency, is imported only
 when a caller asks for the CSR form through SparsePrecision.matrix.
 """
 
+import heapq
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
@@ -107,10 +108,6 @@ class SparsePrecision:
         return sp.csr_matrix((data, (rows, cols)), shape=(self.n, self.n))
 
 
-# elements per temporary of a TMFG rescan
-_BLOCK_ELEMENTS = 8192
-
-
 def _validate_similarity(similarity) -> np.ndarray:
     """A float copy of similarity with a zero diagonal, once it is valid.
 
@@ -153,21 +150,26 @@ def build_tmfg(similarity) -> TmfgGraph:
     repeatedly insert the remaining vertex into the triangular face that
     gains the most weight, replacing that face with three new ones.
 
-    Each live face keeps its best remaining vertex and that vertex's gain
-    w[v, a] + w[v, b] + w[v, c], ties toward the lowest vertex. A step
-    takes the face of largest gain; among tied faces, the one with the
-    lowest best vertex, then the oldest. This is the best (vertex, face)
-    pair over all pairs, ties toward the lowest vertex and then the
-    oldest face. After inserting v, only the faces whose best vertex was
-    v and the three new faces are rescanned. The same rule holds for
-    every n. Deterministic for a given input.
+    Each step inserts the best (vertex, face) pair over all pairs: the
+    largest gain w[v, a] + w[v, b] + w[v, c], ties toward the lowest
+    vertex, then the oldest face. Each live face has one heap entry
+    (-gain, best vertex, face index), its best vertex being the lowest
+    that attains its row's largest gain when the entry is made. Tuple
+    order is that rule, and -0.0 and 0.0 compare equal. A step pops the
+    smallest entry; while its vertex is already placed, it rescans that
+    face's kept row with one argmax and pushes the new entry back in the
+    same heappushpop. Placing a vertex only lowers a row, so no entry
+    ranks its face above the face's current best pair, and a popped entry
+    whose vertex is unplaced holds its row's true maximum: the pop is the
+    eager argmax over every face. The same rule holds for every n.
+    Deterministic for a given input.
 
     Each face's gain row, (w[:, a] + w[:, b]) + w[:, c] over all vertices
     with a < b < c, is summed once, when the face is made, and kept in a
-    (3n - 8) x n float array: 1.5 MB at n = 250, beside the n x n
-    transposed copy of the similarity. A placed vertex's column is set to
-    -inf in that copy and in every kept row, so a rescan gathers the kept
-    rows of the stale faces and takes their argmax.
+    (3n - 8) x n float array: 1.5 MB at n = 250. A placed vertex's column
+    is set to -inf in every kept row and in the n x n transposed copy of
+    the similarity that new rows are summed from. Memory is those two
+    arrays; a rescan reads one kept row and makes no temporary.
     """
     w = _validate_similarity(similarity)
     n = w.shape[0]
@@ -182,61 +184,47 @@ def build_tmfg(similarity) -> TmfgGraph:
 
     cliques = [seed]
     separators: list = []
-
-    # per face, in creation order: its sorted vertices, its gain row, best
-    # remaining vertex (-1 once consumed) and that vertex's gain (-inf
-    # once consumed)
+    # face i, in creation order, has sorted vertices faces[i] and gain row
+    # gain_rows[i]; heap holds one (-gain, best vertex, i) per live face
     faces: list = []
     gain_rows = np.empty((3 * n - 8, n))
-    best_vertex = np.full(len(gain_rows), -1, dtype=np.intp)
-    best_gain = np.full(len(gain_rows), -np.inf)
+    heap: list = []
+    placed = [u in seed for u in range(n)]
 
     def add_face(face: tuple) -> None:
         a, b, c = face
-        row = gain_rows[len(faces)]
+        fi = len(faces)
+        row = gain_rows[fi]
         np.add(w_t[a], w_t[b], out=row)
         row += w_t[c]
         faces.append(face)
+        v = int(row.argmax())
+        heapq.heappush(heap, (-row.item(v), v, fi))
 
     for face in itertools.combinations(seed, 3):
         add_face(face)
-    stale = np.arange(4)
 
-    # a hub vertex can be the best of hundreds of faces at once, so stale
-    # rows are gathered a block at a time
-    rescan_rows = max(1, _BLOCK_ELEMENTS // n)
     for _ in range(n - 4):
-        for start in range(0, stale.size, rescan_rows):
-            part = stale[start : start + rescan_rows]
-            gains = gain_rows[part]
-            best = gains.argmax(axis=1)
-            best_vertex[part] = best
-            best_gain[part] = gains[np.arange(part.size), best]
-
-        fi = int(best_gain.argmax())
-        tied = best_gain == best_gain[fi]
-        if np.count_nonzero(tied) > 1:
-            top = tied.nonzero()[0]
-            fi = int(top[np.argmin(best_vertex[top])])
-        v = int(best_vertex[fi])
+        _, v, fi = heapq.heappop(heap)
+        while placed[v]:
+            row = gain_rows[fi]
+            v = int(row.argmax())
+            if placed[v]:
+                # the row is all -inf: every remaining gain overflowed
+                v = placed.index(False)
+            _, v, fi = heapq.heappushpop(heap, (-row.item(v), v, fi))
         face = faces[fi]
-
         cliques.append(tuple(sorted((*face, v))))
         separators.append(face)
-        best_vertex[fi] = -1
-        best_gain[fi] = -np.inf
 
+        placed[v] = True
         w_t[:, v] = -np.inf
-        k = len(faces)
-        gain_rows[:k, v] = -np.inf
+        gain_rows[: len(faces), v] = -np.inf
         for x, y in itertools.combinations(face, 2):
             add_face(tuple(sorted((x, y, v))))
-        # the new faces count as stale alongside those that lost v
-        best_vertex[k : k + 3] = v
-        stale = (best_vertex[: k + 3] == v).nonzero()[0]
 
     # every edge lies in a clique, and each clique is sorted, so i < j
-    edges = frozenset(pair for clique in cliques for pair in itertools.combinations(clique, 2))
+    edges = frozenset(itertools.chain.from_iterable(map(itertools.combinations, cliques, itertools.repeat(2))))
     return TmfgGraph(n=n, edges=edges, cliques=cliques, separators=separators)
 
 

@@ -139,7 +139,15 @@ def test_growth_matches_gains_matrix_reference(rng, n):
     skew = ties + rng.uniform(-4e-10, 4e-10, size=(n, n))
     # 0.1, 0.2 and 0.3 sum to different floats in different orders
     tenths = 0.1 * (ties + 1.0)
-    cases = [ties, skew, tenths, np.full((n, n), 0.7), np.zeros((n, n))]
+    # negative gains; and zeros of both signs, so that most steps choose
+    # among best gains of 0.0 and -0.0, which must rank as equal
+    signed = [ties - 1.0, np.where(ties == 1.0, 0.0, -ties)]
+    # every vertex past the seed 0..3 is -1e308 from it, so the first gains
+    # overflow to -inf for every vertex left to place
+    far = np.zeros((n, n))
+    far[:4, :4] = 1.0
+    far[4:, :4] = far[:4, 4:] = -1e308
+    cases = [ties, *signed, skew, tenths, far, np.full((n, n), 0.7), np.zeros((n, n))]
     if n <= 80:
         cases.append(panels.random_similarity(rng, n))
     else:
@@ -147,8 +155,9 @@ def test_growth_matches_gains_matrix_reference(rng, n):
         # and the same rounded to two digits, where many gains tie
         block = panels.block_similarity(rng, n)
         cases += [block, np.round(block, 2)]
-    for w in cases:
-        _assert_matches_reference(w)
+    with np.errstate(over="ignore"):
+        for w in cases:
+            _assert_matches_reference(w)
 
 
 @pytest.mark.parametrize("n", [199, 201])
