@@ -4,11 +4,11 @@ build_tmfg grows a Triangulated Maximally Filtered Graph: a planar chordal
 graph with 3n-6 edges, built by choosing a 4-vertex seed greedily by weight
 and then repeatedly inserting the (vertex, triangular face) pair that adds
 the most similarity weight. As in the original construction (Massara,
-Di Matteo & Aste, J. Complex Networks 2016), each face keeps its best
-remaining vertex. Each face's row of gains over all vertices is summed
-once, when the face is made, and kept; a heap orders the faces by their
-kept best gain, and a step rescans, with one argmax of a kept row, only
-the faces it pops whose best vertex is already placed.
+Di Matteo & Aste, J. Complex Networks 2016), each face's best remaining
+vertex is found from its row of gains over all vertices, summed once,
+when the face is made, and kept. A heap orders the faces by the best
+gain of their last scan, and a step rescans, with one argmax of a kept
+row, only the faces it pops whose best vertex is already placed.
 
 Because every maximal clique has size 4 and every separator size 3, the
 inverse covariance restricted to that structure has a closed form: the
