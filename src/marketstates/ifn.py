@@ -111,10 +111,11 @@ class SparsePrecision:
 def _validate_similarity(similarity) -> np.ndarray:
     """A float copy of similarity with a zero diagonal, once it is valid.
 
-    Every entry must be finite before the largest |w - w.T| is taken,
-    since a NaN difference compares False against the bound. The
-    difference is one more n x n array, freed on return, so this stays
-    below the peak that build_tmfg's transposed copy and gain rows set.
+    Each off-diagonal entry must lie within +-float max / n, so that every
+    sum build_tmfg forms, of at most n - 1 such terms, is finite; NaN and
+    +-inf fail too. This runs before the largest |w - w.T| is taken, as a
+    NaN difference compares False against 1e-9. The difference is one more
+    n x n array, freed on return, so it never sets build_tmfg's peak.
     """
     w = np.array(similarity, dtype=float, copy=True)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
@@ -123,8 +124,9 @@ def _validate_similarity(similarity) -> np.ndarray:
     if n < MIN_VERTICES:
         raise ValueError(f"need at least {MIN_VERTICES} vertices to build a TMFG, got {n}")
     np.fill_diagonal(w, 0.0)
-    if not np.isfinite(w).all():
-        raise ValueError("similarity matrix has NaN or infinite off-diagonal entries")
+    bound = np.finfo(float).max / n
+    if not (-bound <= w.min() and w.max() <= bound):
+        raise ValueError(f"similarity matrix has off-diagonal entries that are NaN or beyond +-{bound:.3e}")
     diff = w - w.T
     asym = float(np.abs(diff, out=diff).max())
     if asym > 1e-9:
@@ -161,8 +163,9 @@ def build_tmfg(similarity) -> TmfgGraph:
     same heappushpop. Placing a vertex only lowers a row, so no entry
     ranks its face above the face's current best pair, and a popped entry
     whose vertex is unplaced holds its row's true maximum: the pop is the
-    eager argmax over every face. The same rule holds for every n.
-    Deterministic for a given input.
+    eager argmax over every face, by the same rule at every n. Every
+    unplaced gain is finite (see _validate_similarity), so a rescan's
+    argmax names an unplaced vertex. Deterministic for a given input.
 
     Each face's gain row, (w[:, a] + w[:, b]) + w[:, c] over all vertices
     with a < b < c, is summed once, when the face is made, and kept in a
@@ -209,9 +212,6 @@ def build_tmfg(similarity) -> TmfgGraph:
         while placed[v]:
             row = gain_rows[fi]
             v = int(row.argmax())
-            if placed[v]:
-                # the row is all -inf: every remaining gain overflowed
-                v = placed.index(False)
             _, v, fi = heapq.heappushpop(heap, (-row.item(v), v, fi))
         face = faces[fi]
         cliques.append(tuple(sorted((*face, v))))

@@ -23,8 +23,8 @@ from .errors import DataError
 from .ifn import MIN_VERTICES
 
 _ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
-# one row's date prefix; year 0 is no date to fromisoformat
-_ISO_DATE_ROW = re.compile("(?!0000)" + _ISO_DATE.pattern + ",")
+# one row's date prefix
+_ISO_DATE_ROW = re.compile(_ISO_DATE.pattern + ",")
 # characters whose files the block parse leaves to the csv module: a quote,
 # a lone carriage return (a line end to csv only) and NUL (a csv.Error
 # before Python 3.11)
@@ -161,13 +161,12 @@ def _read_block(text: str, path) -> PricePanel | None:
     """Parse a valid file in one vectorized pass; None if it does not pass.
 
     Every row must open with an 11-character YYYY-MM-DD date and its
-    comma: one regex must delete all of those prefixes joined, one datetime64
-    conversion checks the calendar, and one np.loadtxt reads every row's
-    price columns. A row with fewer cells fails in loadtxt's usecols, so
-    when the file holds one comma per asset per line, no row has more
-    cells either. Year 0, which numpy reads and date.fromisoformat does
-    not, fails the regex. Rows are sorted by a stable argsort, only when
-    their dates are not already increasing.
+    comma: one regex must delete all of those prefixes joined, and each
+    date must pass date.fromisoformat, the calendar rule of _read_rows.
+    One np.loadtxt reads every row's price columns. A row with fewer cells
+    fails in loadtxt's usecols, so when the file holds one comma per asset
+    per line, no row has more cells either. Unless the dates already
+    increase, rows take a stable sort on the fixed-width ISO strings.
 
     Every file this returns None for goes to _read_rows, which either reads
     it (quoted cells, a lone carriage return, padded dates, prices such as
@@ -193,14 +192,14 @@ def _read_block(text: str, path) -> PricePanel | None:
         if len(prefixes) != 11 * len(lines) or _ISO_DATE_ROW.sub("", prefixes):
             return None
         dates = prefixes.split(",")[:-1]
-        days = np.array(dates, dtype="datetime64[D]")  # ValueError off the calendar
+        all(map(datetime.date.fromisoformat, dates))  # ValueError off the calendar
         if text.count(",") != (len(lines) + 1) * len(assets):
             return None
         values = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2,
                             usecols=range(1, len(assets) + 1))
-        if not np.all(days[1:] > days[:-1]):
-            order = np.argsort(days, kind="stable")
-            dates, values = [dates[i] for i in order.tolist()], values[order]
+        if not all(map(operator.lt, dates, dates[1:])):
+            order = sorted(range(len(dates)), key=dates.__getitem__)
+            dates, values = [dates[i] for i in order], values[order]
         return PricePanel(dates=dates, assets=assets, values=values)
     except ValueError:  # DataError included: duplicate dates or a bad price
         return None

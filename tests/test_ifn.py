@@ -142,12 +142,10 @@ def test_growth_matches_gains_matrix_reference(rng, n):
     # negative gains; and zeros of both signs, so that most steps choose
     # among best gains of 0.0 and -0.0, which must rank as equal
     signed = [ties - 1.0, np.where(ties == 1.0, 0.0, -ties)]
-    # every vertex past the seed 0..3 is -1e308 from it, so the first gains
-    # overflow to -inf for every vertex left to place
-    far = np.zeros((n, n))
-    far[:4, :4] = 1.0
-    far[4:, :4] = far[:4, 4:] = -1e308
-    cases = [ties, *signed, skew, tenths, far, np.full((n, n), 0.7), np.zeros((n, n))]
+    # entries of +-float max / n, the largest the validator accepts: every
+    # seed and face sum stays finite, so any overflow fails this test
+    edge = np.where(ties == 1.0, -1.0, ties / 2.0) * (np.finfo(float).max / n)
+    cases = [ties, *signed, skew, tenths, edge, np.full((n, n), 0.7), np.zeros((n, n))]
     if n <= 80:
         cases.append(panels.random_similarity(rng, n))
     else:
@@ -155,9 +153,8 @@ def test_growth_matches_gains_matrix_reference(rng, n):
         # and the same rounded to two digits, where many gains tie
         block = panels.block_similarity(rng, n)
         cases += [block, np.round(block, 2)]
-    with np.errstate(over="ignore"):
-        for w in cases:
-            _assert_matches_reference(w)
+    for w in cases:
+        _assert_matches_reference(w)
 
 
 @pytest.mark.parametrize("n", [199, 201])
@@ -566,6 +563,20 @@ def test_validation_rejects_bad_similarity(rng):
     w[0, 1] += 1.0  # asymmetric
     with pytest.raises(ValueError):
         build_tmfg(w)
+    # past float max / n, a seed or face sum could overflow to -inf and tie
+    # with a placed vertex: every off-diagonal -1e308 seeded (0, 0, 0, 1)
+    far = np.zeros((8, 8))
+    far[:4, :4] = 1.0
+    far[4:, :4] = far[:4, 4:] = -1e308
+    bound = np.finfo(float).max / 6
+    edge = panels.random_similarity(rng, 6)
+    edge[2, 4] = edge[4, 2] = np.nextafter(bound, np.inf)
+    for w in (far, np.full((4, 4), -1e308), edge):
+        with pytest.raises(ValueError, match="NaN or beyond"):
+            build_tmfg(w)
+    edge[2, 4] = edge[4, 2] = -bound
+    edge[1, 3] = edge[3, 1] = bound
+    assert build_tmfg(edge).n == 6
 
 
 def test_validation_rejects_nan_in_lower_triangle_only(rng):
@@ -573,11 +584,11 @@ def test_validation_rejects_nan_in_lower_triangle_only(rng):
     # a NaN below the diagonal through
     w = panels.random_similarity(rng, 6)
     w[4, 1] = np.nan
-    with pytest.raises(ValueError, match="NaN or infinite"):
+    with pytest.raises(ValueError, match="NaN or beyond"):
         build_tmfg(w)
     w = panels.random_similarity(rng, 6)
     w[5, 2] = -np.inf
-    with pytest.raises(ValueError, match="NaN or infinite"):
+    with pytest.raises(ValueError, match="NaN or beyond"):
         build_tmfg(w)
     # the diagonal is ignored, whatever it holds
     w = panels.random_similarity(rng, 6)
