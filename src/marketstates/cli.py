@@ -99,15 +99,15 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
-def _write_csv(path: Path, header: str, dates, values: np.ndarray) -> None:
-    """Write the header, then one date,value line per date.
+def _write_csv(path: Path, header: str, dates, cells) -> None:
+    """Write the header, then one date,cell line per date, in one join.
 
-    An integer value is written as its digits, a float as its repr, which
-    is a Python float's str.
+    cells are strings already formatted by the caller: run_fit gives a
+    label's digits and a float's repr, which is a Python float's str.
     """
-    lines = [f"{date},{cell}\n" for date, cell in zip(dates, values.tolist())]
+    text = "\n".join([header, *map(",".join, zip(dates, cells))])
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"{header}\n" + "".join(lines))
+        fh.write(text + "\n")
 
 
 def _models_payload(models, occupancy, assets) -> dict:
@@ -175,10 +175,13 @@ def run_fit(config: RunConfig, returns: ReturnsPanel, *, memo=None) -> StatePath
             raise FitError(str(exc)) from exc
 
     payload = {"status": "ok", "config": asdict(config), **asdict(report)}
-    _write_csv(out_dir / "states.csv", "date,label", returns.dates, path.labels)
+    label_text = [str(k) for k in range(config.clustering.n_clusters)]
+    _write_csv(out_dir / "states.csv", "date,label", returns.dates,
+               map(label_text.__getitem__, path.labels.tolist()))
     if ratio_pair is not None:
         series = likelihood_ratio(returns, models, *ratio_pair, scores=path.scores)
-        _write_csv(out_dir / "ratio.csv", "date,value", series.dates, series.values)
+        _write_csv(out_dir / "ratio.csv", "date,value", series.dates,
+                   map(repr, series.values.tolist()))
         payload["ratio_states"] = [int(series.state_a), int(series.state_b)]
     _write_json(out_dir / "models.json", _models_payload(models, report.occupancy, returns.assets))
     _write_json(out_dir / "report.json", payload)

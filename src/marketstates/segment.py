@@ -312,16 +312,31 @@ def _similarity_matrix(cov: np.ndarray, mode: str) -> np.ndarray:
     return _SIMILARITY[mode](corr)
 
 
+def _moments(rows: np.ndarray):
+    """rows' column means and ddof-1 covariance, centring rows in place.
+
+    The covariance is the symmetric product rows.T @ rows of the centred
+    rows over m - 1, the operations np.cov(rows, rowvar=False) runs after
+    its own copy and mean, so the two agree bit for bit.
+    """
+    mu = rows.mean(axis=0)
+    rows -= mu
+    cov = np.dot(rows.T, rows)
+    cov *= np.true_divide(1, rows.shape[0] - 1)
+    return mu, cov
+
+
 def estimate_cluster(
     returns: ReturnsPanel, member_indices, config: ClusteringConfig, label: int = 0
 ) -> ClusterModel:
     """Fit one state from its member time points.
 
-    mu and the covariance are the sample mean/covariance of the member
-    rows; the TMFG is rebuilt on the configured similarity of those rows
-    and the precision is the LoGo estimate on it. An invalid config
-    raises ConfigError, and member_indices that are not distinct integer
-    days in [0, T) raise ValueError.
+    mu and the covariance are the sample mean and ddof-1 covariance of
+    one copy of the member rows (_moments); the TMFG is rebuilt on the
+    configured similarity of that covariance and the precision is the
+    LoGo estimate on it. An invalid config raises ConfigError, and
+    member_indices that are not distinct integer days in [0, T) raise
+    ValueError.
     """
     config.validate()
     idx = np.sort(np.asarray(member_indices))
@@ -335,9 +350,7 @@ def estimate_cluster(
         raise EstimationError(
             f"state {label}: {idx.size} member(s), need at least {min_size}"
         )
-    rows = returns.values[idx]
-    mu = rows.mean(axis=0)
-    cov = np.cov(rows, rowvar=False, ddof=1)
+    mu, cov = _moments(returns.values[idx])
     graph = build_tmfg(_similarity_matrix(cov, config.similarity_mode))
     precision = logo_precision(cov, graph)
     return ClusterModel(

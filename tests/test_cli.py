@@ -846,17 +846,46 @@ _FLOAT_EDGES = [-0.0, 0.0, 5e-324, -5e-324, 1e-300, 1e16, -1e16, 1e22, 1e23, 3.0
     ),
 )
 def test_csv_writer_matches_a_per_line_writer(data):
+    # a label's str and a float's repr are the cells a per-line f-string wrote
     dates = [str(np.datetime64("1999-12-30") + 7 * t) for t in range(len(data))]
-    labels = np.array([label for label, _ in data], dtype=int)
-    values = np.array([value for _, value in data], dtype=float)
+    labels = [label for label, _ in data]
+    values = np.array([value for _, value in data], dtype=float).tolist()
     with tempfile.TemporaryDirectory() as tmp:
         states, ratio = Path(tmp) / "states.csv", Path(tmp) / "ratio.csv"
-        cli._write_csv(states, "date,label", dates, labels)
-        cli._write_csv(ratio, "date,value", dates, values)
-        assert states.read_bytes() == _csv_per_line(
-            "date,label", dates, (int(v) for v in labels))
-        assert ratio.read_bytes() == _csv_per_line(
-            "date,value", dates, (repr(float(v)) for v in values))
+        cli._write_csv(states, "date,label", dates, map(str, labels))
+        cli._write_csv(ratio, "date,value", dates, map(repr, values))
+        assert states.read_bytes() == _csv_per_line("date,label", dates, labels)
+        assert ratio.read_bytes() == _csv_per_line("date,value", dates, values)
+
+
+def test_fit_writes_the_per_line_csv_text(price_csv, tmp_path, monkeypatch):
+    # every one of twelve labels, two-digit ones too, and floats whose repr
+    # is short, subnormal, exponent-form or extreme reach the files as the
+    # per-line f-string wrote them
+    floats = [-0.0, 5e-324, 1e-05, 0.1, 1 / 3, 1e16, -1.7976931348623157e308]
+    fitted, ratio = [], cli.likelihood_ratio
+
+    def fit(*args, **kwargs):
+        fitted.append(segment.fit(*args, **kwargs))
+        return fitted[-1]
+
+    def edge_ratio(returns, *args, **kwargs):
+        series = ratio(returns, *args, **kwargs)
+        series.values = np.resize(floats, len(series.dates))
+        return series
+
+    monkeypatch.setattr(cli, "fit", fit)
+    monkeypatch.setattr(cli, "likelihood_ratio", edge_ratio)
+    out = tmp_path / "run"
+    argv = ["--input", price_csv, "--output", out, "--clusters", 12, "--gamma", 0,
+            "--max-iter", 1, "--ratio", "0,11"]
+    assert _run(argv) == 0
+    labels = fitted[0][1].labels.tolist()
+    assert set(labels) == set(range(12))
+    dates = to_log_returns(load_price_panel(price_csv)).dates
+    assert (out / "states.csv").read_bytes() == _csv_per_line("date,label", dates, labels)
+    values = np.resize(floats, len(dates)).tolist()
+    assert (out / "ratio.csv").read_bytes() == _csv_per_line("date,value", dates, values)
 
 
 def test_ratio_takes_the_fit_scores(price_csv, tmp_path, monkeypatch):

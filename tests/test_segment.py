@@ -478,6 +478,20 @@ def test_similarity_from_the_covariance_is_corrcoef_bit_for_bit(rng, mode):
         assert np.array_equal(segment._similarity_matrix(cov, mode), want), (t_len, n)
 
 
+def test_moments_are_mean_and_np_cov_bit_for_bit(rng):
+    # the estimate's one centred copy gives np.cov's covariance, on
+    # contiguous and on scattered day subsets of a longer panel
+    for t_len, n in ((700, 250), (830, 100), (6000, 12), (40, 6)):
+        values = rng.normal(size=(2 * t_len, n)) @ rng.normal(size=(n, n)) + rng.normal(size=n)
+        start = int(rng.integers(0, t_len))
+        scattered = np.sort(rng.choice(2 * t_len, size=t_len, replace=False))
+        for days in (np.arange(start, start + t_len), scattered):
+            rows = values[days]
+            mu, cov = segment._moments(values[days])
+            assert np.array_equal(mu, rows.mean(axis=0)), (t_len, n)
+            assert np.array_equal(cov, np.cov(rows, rowvar=False, ddof=1)), (t_len, n)
+
+
 # --- full fit
 
 
