@@ -869,8 +869,8 @@ def test_fit_writes_the_per_line_csv_text(price_csv, tmp_path, monkeypatch):
         fitted.append(segment.fit(*args, **kwargs))
         return fitted[-1]
 
-    def edge_ratio(returns, *args, **kwargs):
-        series = ratio(returns, *args, **kwargs)
+    def edge_ratio(*args, **kwargs):
+        series = ratio(*args, **kwargs)
         series.values = np.resize(floats, len(series.dates))
         return series
 
@@ -880,7 +880,8 @@ def test_fit_writes_the_per_line_csv_text(price_csv, tmp_path, monkeypatch):
     argv = ["--input", price_csv, "--output", out, "--clusters", 12, "--gamma", 0,
             "--max-iter", 1, "--ratio", "0,11"]
     assert _run(argv) == 0
-    labels = fitted[0][1].labels.tolist()
+    _, path, _ = fitted[0]
+    labels = path.labels.tolist()
     assert set(labels) == set(range(12))
     dates = to_log_returns(load_price_panel(price_csv)).dates
     assert (out / "states.csv").read_bytes() == _csv_per_line("date,label", dates, labels)
